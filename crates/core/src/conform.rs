@@ -593,7 +593,10 @@ fn check_engines(
     // Merge out of order: shard identity must not depend on range order.
     for (lo, hi) in [(cut_b, shots), (0, cut_a), (cut_a, cut_b)] {
         if lo < hi {
-            sharded.merge(&sim.run_shot_range(&plan, lo, hi));
+            let part = sim
+                .run_shot_range(&plan, lo, hi)
+                .map_err(|e| format!("{stage}/shard {lo}..{hi}: {e}"))?;
+            sharded.merge(&part);
         }
     }
     diff_histograms(&format!("{stage}/sharded vs oracle"), &oracle, &sharded)?;
@@ -633,7 +636,10 @@ fn check_engines(
                     (w + 1) * per
                 };
                 if lo < hi {
-                    merged.merge(&sim.run_shot_range(&plan, lo, hi));
+                    let part = sim
+                        .run_shot_range(&plan, lo, hi)
+                        .map_err(|e| format!("{stage}/stabilizer shard {lo}..{hi}: {e}"))?;
+                    merged.merge(&part);
                 }
             }
             diff_histograms(
@@ -679,11 +685,13 @@ fn check_density(program: &Program, seed: u64) -> Result<(), String> {
         expected[i & measured as usize] += a.norm_sqr();
     }
 
-    let sim = Simulator::perfect().with_seed(seed);
+    let sim = Simulator::perfect()
+        .with_seed(seed)
+        .with_engine_select(EngineSelect::Density);
     let plan = sim
         .compile(program)
         .map_err(|e| format!("density compile: {e}"))?;
-    let hist = match sim.run_density_planned(&plan, DENSITY_SHOTS) {
+    let hist = match sim.run_shots_planned(&plan, DENSITY_SHOTS, 1) {
         Ok(h) => h,
         // The density engine legitimately rejects some generated shapes
         // (three-qubit kernels, repeated subcircuits whose measurements

@@ -1,5 +1,5 @@
-//! The QX execution engine: runs cQASM programs on the state-vector kernel
-//! under a chosen qubit model.
+//! The QX execution engine: runs cQASM programs on the state-vector,
+//! stabilizer or density-matrix engine under a chosen qubit model.
 //!
 //! This realises the execution loop of Fig 3 in the paper: the (simulated)
 //! micro-architectural layer sends each quantum instruction to QX, which
@@ -7,13 +7,18 @@
 //! classical side.
 //!
 //! Programs are lowered once into a [`CompiledProgram`] (kernels
-//! classified, operands unpacked, idle sets precomputed as bitmasks) and
-//! the compiled plan is replayed per shot. Multi-shot runs draw each shot's
-//! randomness from its own counter-derived stream, so [`Simulator::run_shots`]
-//! and [`Simulator::run_shots_parallel`] produce identical histograms for
-//! any thread count; noise-free programs ending in a single `measure_all`
-//! additionally take a sampling fast path that evolves the state once and
-//! draws every shot from a cumulative probability table.
+//! classified, operands unpacked, idle sets precomputed as bitmasks), and
+//! every multi-shot run then takes one path.
+//! [`Simulator::run_shots_planned`] applies the fault budget, resolves the
+//! engine and prepares the sweep once — the evolved noise-free prefix with
+//! its cumulative table or measure-cascade base state, the Pauli-frame
+//! layout, the tableau op list, the density-matrix diagonal, or the plan
+//! itself for the per-shot interpreter — and splits the shot range across
+//! threads. [`Simulator::run_shot_range`] is the same preparation over one
+//! range: the serving layer's shard primitive. Each shot draws its
+//! randomness from its own counter-derived stream, so every thread split
+//! and every shard cover of `0..shots` reproduces the single-thread
+//! histogram bit for bit.
 
 use crate::density::{kernel_unitary, DensityMatrix, KernelUnitary, MAX_DENSITY_QUBITS};
 use crate::error_model::flip_readout;
@@ -23,7 +28,7 @@ use crate::plan::{
     TerminalMeasure, MAX_SIM_QUBITS,
 };
 use crate::qubit_model::QubitModel;
-use crate::stabilizer::{self, EngineSelect, FrameSampler};
+use crate::stabilizer::{self, set_bit, EngineSelect, FrameSampler};
 use crate::state::{auto_threads, par_min_qubits, StateVector};
 use cqasm::{KernelClass, Program};
 use qca_telemetry::Telemetry;
@@ -43,6 +48,10 @@ type KernelCounts = [u64; KernelClass::COUNT];
 /// reads off the overwhelming majority of gate applications while still
 /// yielding per-class latency distributions.
 const KERNEL_TIMING_SAMPLE_EVERY: u64 = 64;
+
+/// Largest cumulative table the sampling fast path counts into a dense
+/// per-basis-state bucket array (see [`Simulator::sweep_range`]).
+const MAX_BUCKETS: usize = 1 << 20;
 
 /// Errors from executing a program.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -173,15 +182,7 @@ impl Default for Simulator {
 impl Simulator {
     /// A simulator over perfect qubits (the application-development model).
     pub fn perfect() -> Self {
-        Simulator {
-            model: QubitModel::Perfect,
-            seed: 0xC0FFEE,
-            sampling_fast_path: true,
-            plan_options: PlanOptions::default(),
-            faults: FaultInjection::none(),
-            telemetry: Telemetry::disabled(),
-            engine_select: EngineSelect::Auto,
-        }
+        Simulator::with_model(QubitModel::Perfect)
     }
 
     /// A simulator over the given qubit model.
@@ -284,9 +285,10 @@ impl Simulator {
     }
 
     /// Validates `program` and lowers it into a [`CompiledProgram`] for
-    /// this simulator's qubit model. All `run_*` entry points compile
-    /// internally; call this to amortise compilation across your own
-    /// execution loop.
+    /// this simulator's qubit model. [`Simulator::run_once`] and
+    /// [`Simulator::run_shots`] compile internally; compile once and call
+    /// [`Simulator::run_shots_planned`] or [`Simulator::run_shot_range`]
+    /// to amortise compilation across your own execution loop.
     ///
     /// # Errors
     ///
@@ -322,37 +324,98 @@ impl Simulator {
         Ok(())
     }
 
-    /// Runs the program `shots` times, collecting the final classical bits
-    /// of each shot into a histogram.
-    ///
-    /// Each shot draws randomness from its own stream seeded by
-    /// `(simulator seed, shot index)` — the same streams
-    /// [`Simulator::run_shots_parallel`] uses, so the two produce identical
-    /// histograms.
+    /// Compiles the program and runs it `shots` times on the calling
+    /// thread: [`Simulator::run_shots_planned`] with one thread.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecuteError::Invalid`] if the program fails validation.
+    /// Returns [`ExecuteError::Invalid`] if the program fails validation,
+    /// and otherwise the errors of [`Simulator::run_shots_planned`].
     pub fn run_shots(&self, program: &Program, shots: u64) -> Result<ShotHistogram, ExecuteError> {
-        self.run_shots_impl(program, shots, 1)
+        let _run_span = self.telemetry.span("qxsim", "run_shots");
+        let plan = {
+            let _span = self.telemetry.span("qxsim", "plan_compile");
+            self.compile(program)?
+        };
+        self.run_planned(&plan, shots, 1)
     }
 
-    /// Runs the program `shots` times across `threads` worker threads.
+    /// Runs a compiled plan `shots` times across `threads` workers (`0`
+    /// runs on the calling thread, like `1`) — the single multi-shot path,
+    /// and the compile-once/run-many entry point the serving layer uses to
+    /// reuse one [`CompiledProgram`] across requests.
     ///
-    /// Per-shot seeding makes the result deterministic and independent of
-    /// the thread count; `run_shots_parallel(p, s, 1)` equals
-    /// `run_shots(p, s)`.
+    /// The run applies the fault-injection budget, resolves the engine
+    /// (see [`Simulator::plan_engine`]), prepares the sweep once and
+    /// splits `0..shots` into one contiguous range per thread. Shots draw
+    /// from per-shot RNG streams, so the histogram is the same for every
+    /// thread count and equals any merged cover of
+    /// [`Simulator::run_shot_range`] calls.
     ///
     /// # Errors
     ///
-    /// Returns [`ExecuteError::Invalid`] if the program fails validation.
-    pub fn run_shots_parallel(
+    /// Returns [`ExecuteError::InjectedFault`] when the configured failing
+    /// shot falls inside the budget, [`ExecuteError::EngineMismatch`] when
+    /// a forced engine cannot run the plan, [`ExecuteError::Invalid`] or
+    /// [`ExecuteError::TooManyQubits`] for plans outside the density
+    /// engine's support, and [`ExecuteError::Worker`] when a worker thread
+    /// dies.
+    pub fn run_shots_planned(
         &self,
-        program: &Program,
+        plan: &CompiledProgram,
         shots: u64,
         threads: usize,
     ) -> Result<ShotHistogram, ExecuteError> {
-        self.run_shots_impl(program, shots, threads.max(1))
+        let _run_span = self.telemetry.span("qxsim", "run_shots");
+        self.run_planned(plan, shots, threads)
+    }
+
+    fn run_planned(
+        &self,
+        plan: &CompiledProgram,
+        shots: u64,
+        threads: usize,
+    ) -> Result<ShotHistogram, ExecuteError> {
+        self.telemetry.incr("qxsim.runs", 1);
+        self.telemetry.incr("qxsim.shots.requested", shots);
+        let shots = self.effective_shots(shots)?;
+        self.telemetry.incr("qxsim.shots.executed", shots);
+        let sweep = self.prepare(plan)?;
+        let _span = self
+            .telemetry
+            .span("qxsim", self.record_run(plan, &sweep, shots));
+        self.split(&sweep, shots, threads)
+    }
+
+    /// Executes exactly shots `lo..hi` of a multi-shot run on a
+    /// pre-compiled plan, returning their partial histogram: the same
+    /// engine resolution and sweep preparation as
+    /// [`Simulator::run_shots_planned`], over one range.
+    ///
+    /// Shots draw from the same counter-derived per-shot streams, so
+    /// merging the partial histograms of any disjoint cover of `0..shots`
+    /// (see [`ShotHistogram::merge`]) reproduces the single-call histogram
+    /// bit-for-bit — the sharding primitive the serving runtime uses to
+    /// split one large job across a worker pool.
+    ///
+    /// Fault injection is *not* applied here: a sharding coordinator
+    /// truncates or fails the whole run before splitting (as
+    /// [`Simulator::run_shots_planned`] does).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecuteError::EngineMismatch`] when a forced engine
+    /// cannot run the plan, and [`ExecuteError::Invalid`] or
+    /// [`ExecuteError::TooManyQubits`] for plans outside the density
+    /// engine's support.
+    pub fn run_shot_range(
+        &self,
+        plan: &CompiledProgram,
+        lo: u64,
+        hi: u64,
+    ) -> Result<ShotHistogram, ExecuteError> {
+        let sweep = self.prepare(plan)?;
+        Ok(self.sweep_range(&sweep, lo, hi))
     }
 
     /// Applies the fault-injection configuration to a `shots`-shot run:
@@ -374,6 +437,252 @@ impl Simulator {
             }
         }
         Ok(effective)
+    }
+
+    /// The concrete engine this simulator's [`EngineSelect`] resolves to
+    /// for a plan — what a sweep of it actually runs on. `Auto` picks the
+    /// cheapest engine that is provably exact for the plan's circuit class
+    /// and never picks [`EngineSelect::Density`]. Lets dispatchers (the
+    /// service) pre-flight forced selections and label telemetry before
+    /// committing a sharded sweep.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ExecuteError::EngineMismatch`] when a forced engine
+    /// cannot execute the plan: the state-vector engine past
+    /// [`MAX_SIM_QUBITS`] qubits, the tableau executor on a `General`
+    /// plan, or the Pauli-frame sampler on anything but a
+    /// `CliffordTerminal` plan. The density engine's limits surface when
+    /// its sweep is prepared, as [`ExecuteError::TooManyQubits`] or
+    /// [`ExecuteError::Invalid`].
+    pub fn plan_engine(&self, plan: &CompiledProgram) -> Result<EngineSelect, ExecuteError> {
+        let class = plan.circuit_class();
+        let detail = match self.engine_select {
+            EngineSelect::Auto => {
+                return Ok(match class {
+                    CircuitClass::CliffordTerminal => EngineSelect::PauliFrame,
+                    CircuitClass::Clifford => EngineSelect::Tableau,
+                    CircuitClass::General => EngineSelect::StateVector,
+                })
+            }
+            EngineSelect::StateVector if plan.qubit_count() > MAX_SIM_QUBITS => format!(
+                "plan needs {} qubits but the state-vector engine supports at most {}",
+                plan.qubit_count(),
+                MAX_SIM_QUBITS
+            ),
+            EngineSelect::Tableau if plan.stab_ops().is_none() => format!(
+                "plan class is {}; the tableau engine requires a Clifford plan",
+                class.name()
+            ),
+            EngineSelect::PauliFrame if class != CircuitClass::CliffordTerminal => format!(
+                "plan class is {}; the Pauli-frame sampler requires a \
+                 terminally-measured Clifford plan",
+                class.name()
+            ),
+            forced => return Ok(forced),
+        };
+        Err(ExecuteError::EngineMismatch {
+            engine: self.engine_select.name().to_string(),
+            detail,
+        })
+    }
+
+    /// Resolves the engine and does all of a run's once-per-run work, so
+    /// that [`Simulator::sweep_range`] pays only per-shot costs.
+    fn prepare<'p>(&self, plan: &'p CompiledProgram) -> Result<Sweep<'p>, ExecuteError> {
+        let engine = self.plan_engine(plan)?;
+        let n = plan.qubit_count();
+        let kind = match (engine, plan.stab_ops()) {
+            (EngineSelect::Density, _) => self.density_sweep(plan)?,
+            // The frame layout falls back to the (bit-identical) tableau
+            // when its shape does not qualify or it needs more than 64
+            // random variables.
+            (EngineSelect::PauliFrame, Some(ops)) => match FrameSampler::build(ops, n) {
+                Some(sampler) => SweepKind::Frames(sampler),
+                None => SweepKind::Tableau(ops, n),
+            },
+            (EngineSelect::Tableau, Some(ops)) => SweepKind::Tableau(ops, n),
+            (EngineSelect::Tableau | EngineSelect::PauliFrame, None) => {
+                return Err(ExecuteError::EngineMismatch {
+                    engine: engine.name().to_string(),
+                    detail: "plan has no stabilizer lowering".to_string(),
+                })
+            }
+            (EngineSelect::StateVector | EngineSelect::Auto, _) => {
+                match plan.sampling_measures().filter(|_| self.sampling_fast_path) {
+                    Some(TerminalMeasure::All) => {
+                        SweepKind::Table(self.evolve_prefix(plan).cumulative_probabilities())
+                    }
+                    Some(TerminalMeasure::Run(qs)) => {
+                        SweepKind::Cascade(self.evolve_prefix(plan), qs)
+                    }
+                    None => SweepKind::Interpreter(plan),
+                }
+            }
+        };
+        Ok(Sweep { engine, kind })
+    }
+
+    /// Records a run's engine and sweep telemetry, and returns the name of
+    /// the span its shots execute under.
+    fn record_run(&self, plan: &CompiledProgram, sweep: &Sweep, shots: u64) -> &'static str {
+        let tel = &self.telemetry;
+        if tel.is_enabled() {
+            tel.incr_labeled("qxsim.engine", sweep.engine.name(), 1);
+            tel.incr_labeled("qxsim.engine.class", plan.circuit_class().name(), 1);
+        }
+        match &sweep.kind {
+            SweepKind::Table(_) => {
+                self.record_sweep_decision(plan.qubit_count());
+                tel.incr_labeled("qxsim.sampling_fast_path", "hit", 1);
+                "sample_shots"
+            }
+            SweepKind::Cascade(..) => {
+                self.record_sweep_decision(plan.qubit_count());
+                tel.incr_labeled("qxsim.sampling_fast_path", "hit", 1);
+                tel.incr("qxsim.sampling_fast_path.measure_run", 1);
+                "sample_shots"
+            }
+            SweepKind::Interpreter(_) => {
+                self.record_sweep_decision(plan.qubit_count());
+                tel.incr_labeled("qxsim.sampling_fast_path", "miss", 1);
+                "shot_execution"
+            }
+            SweepKind::Tableau(..) => {
+                if sweep.engine == EngineSelect::PauliFrame {
+                    tel.incr("qxsim.stab.frame_fallback", 1);
+                }
+                tel.incr("qxsim.stab.tableau_shots", shots);
+                "stab_tableau"
+            }
+            SweepKind::Frames(_) => {
+                tel.incr("qxsim.stab.frame_shots", shots);
+                tel.incr("qxsim.stab.frame_words", FrameSampler::words(shots));
+                "stab_frames"
+            }
+            SweepKind::Density { .. } => {
+                tel.incr("qxsim.density.runs", 1);
+                tel.incr("qxsim.density.shots", shots);
+                "density_shots"
+            }
+        }
+    }
+
+    /// Splits shots `0..shots` into `threads` contiguous ranges, sweeps
+    /// each on its own scoped thread and merges the partial histograms.
+    /// With one thread (or none) the whole range runs inline on the
+    /// calling thread.
+    fn split(
+        &self,
+        sweep: &Sweep,
+        shots: u64,
+        threads: usize,
+    ) -> Result<ShotHistogram, ExecuteError> {
+        if threads <= 1 {
+            return Ok(self.sweep_range(sweep, 0, shots));
+        }
+        let threads = threads as u64;
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..threads)
+                .map(|t| {
+                    let lo = shots * t / threads;
+                    let hi = shots * (t + 1) / threads;
+                    scope.spawn(move || self.sweep_range(sweep, lo, hi))
+                })
+                .collect();
+            let mut total = ShotHistogram::new();
+            for h in handles {
+                total.merge(&h.join().map_err(worker_error)?);
+            }
+            Ok(total)
+        })
+    }
+
+    /// Executes shots `lo..hi` of a prepared sweep into a partial
+    /// histogram. Each shot consumes its own RNG stream exactly as full
+    /// per-shot re-simulation would (see [`SweepKind`]), so disjoint
+    /// ranges merge to the single-range histogram in any order.
+    fn sweep_range(&self, sweep: &Sweep, lo: u64, hi: u64) -> ShotHistogram {
+        let mut hist = ShotHistogram::new();
+        match &sweep.kind {
+            SweepKind::Table(cum) => {
+                // Once a range has at least as many shots as the table has
+                // entries, counting into a dense bucket array and folding
+                // it once beats a map update per shot.
+                if cum.len() <= MAX_BUCKETS && hi.saturating_sub(lo) >= cum.len() as u64 {
+                    let mut buckets = vec![0u64; cum.len()];
+                    for shot in lo..hi {
+                        let r = self.shot_draw(shot);
+                        buckets[StateVector::sample_from_cumulative(cum, r) as usize] += 1;
+                    }
+                    for (bits, &count) in buckets.iter().enumerate() {
+                        hist.record_many(bits as u64, count);
+                    }
+                } else {
+                    for shot in lo..hi {
+                        hist.record(StateVector::sample_from_cumulative(
+                            cum,
+                            self.shot_draw(shot),
+                        ));
+                    }
+                }
+            }
+            SweepKind::Cascade(state, qs) => {
+                let mut cascade = MeasureCascade::new(state, qs);
+                for shot in lo..hi {
+                    hist.record(cascade.sample(&mut self.shot_rng(shot)));
+                }
+            }
+            SweepKind::Interpreter(plan) => {
+                let counting = self.telemetry.is_enabled();
+                let mut counts: KernelCounts = [0; KernelClass::COUNT];
+                for shot in lo..hi {
+                    let mut rng = self.shot_rng(shot);
+                    let bits = self
+                        .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
+                        .bits;
+                    hist.record(bits);
+                }
+                self.record_kernel_counts(&counts);
+            }
+            SweepKind::Tableau(ops, n) => {
+                // With telemetry on, one shot in every
+                // KERNEL_TIMING_SAMPLE_EVERY is wall-clock timed.
+                let timing = self.telemetry.is_enabled();
+                for shot in lo..hi {
+                    let mut rng = self.shot_rng(shot);
+                    let start = (timing && (shot - lo).is_multiple_of(KERNEL_TIMING_SAMPLE_EVERY))
+                        .then(Instant::now);
+                    let bits = stabilizer::tableau_shot(ops, *n, &mut rng);
+                    if let Some(start) = start {
+                        self.telemetry.record_value_labeled(
+                            "qxsim.stab.shot_ns",
+                            "tableau",
+                            start.elapsed().as_nanos() as f64,
+                        );
+                    }
+                    hist.record(bits);
+                }
+            }
+            SweepKind::Frames(sampler) => {
+                return sampler.sample_range(self.seed, SHOT_SEED_STRIDE, lo, hi)
+            }
+            SweepKind::Density { cum, targets } => {
+                let readout = self.model.readout_error();
+                for shot in lo..hi {
+                    let mut rng = self.shot_rng(shot);
+                    let r: f64 = rng.gen();
+                    let pattern = StateVector::sample_from_cumulative(cum, r);
+                    let mut bits = 0u64;
+                    for (j, &q) in targets.iter().enumerate() {
+                        let outcome = (pattern >> j) & 1 == 1;
+                        set_bit(&mut bits, q, flip_readout(outcome, readout, &mut rng));
+                    }
+                    hist.record(bits);
+                }
+            }
+        }
+        hist
     }
 
     /// Records the threads-vs-serial dispatch decision the state-vector
@@ -441,414 +750,6 @@ impl Simulator {
             .incr_labeled("qxsim.fusion", "fused_1q_layers", stats.fused_1q_layers);
     }
 
-    fn run_shots_impl(
-        &self,
-        program: &Program,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _run_span = self.telemetry.span("qxsim", "run_shots");
-        let plan = {
-            let _span = self.telemetry.span("qxsim", "plan_compile");
-            self.compile(program)?
-        };
-        self.run_planned_impl(&plan, shots, threads)
-    }
-
-    /// Runs a pre-compiled plan `shots` times across `threads` workers —
-    /// the compile-once/run-many entry point the serving layer uses to
-    /// reuse one [`CompiledProgram`] across requests. Identical semantics
-    /// (fault injection, telemetry, per-shot RNG streams, thread-count
-    /// independence) to [`Simulator::run_shots_parallel`] minus the
-    /// compile step, so cached-plan runs are bit-identical to fresh ones.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecuteError::InjectedFault`] or
-    /// [`ExecuteError::Worker`] under the same conditions as
-    /// [`Simulator::run_shots_parallel`].
-    pub fn run_shots_planned(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _run_span = self.telemetry.span("qxsim", "run_shots");
-        self.run_planned_impl(plan, shots, threads.max(1))
-    }
-
-    fn run_planned_impl(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        self.telemetry.incr("qxsim.runs", 1);
-        self.telemetry.incr("qxsim.shots.requested", shots);
-        let shots = self.effective_shots(shots)?;
-        self.telemetry.incr("qxsim.shots.executed", shots);
-        let engine = self.resolve_engine(plan)?;
-        if self.telemetry.is_enabled() {
-            self.telemetry
-                .incr_labeled("qxsim.engine", engine.name(), 1);
-            self.telemetry
-                .incr_labeled("qxsim.engine.class", plan.circuit_class().name(), 1);
-        }
-        match engine {
-            EngineSelect::Tableau => return self.run_tableau_planned(plan, shots, threads),
-            EngineSelect::PauliFrame => return self.run_frames_planned(plan, shots, threads),
-            _ => {}
-        }
-        self.record_sweep_decision(plan.qubit_count());
-        if self.sampling_fast_path {
-            match plan.sampling_measures() {
-                Some(TerminalMeasure::All) => {
-                    self.telemetry
-                        .incr_labeled("qxsim.sampling_fast_path", "hit", 1);
-                    return self.run_terminal_sampling(plan, shots, threads);
-                }
-                Some(TerminalMeasure::Run(qs)) => {
-                    self.telemetry
-                        .incr_labeled("qxsim.sampling_fast_path", "hit", 1);
-                    self.telemetry
-                        .incr("qxsim.sampling_fast_path.measure_run", 1);
-                    let qs = qs.clone();
-                    return self.run_terminal_measure_run(plan, &qs, shots, threads);
-                }
-                None => {}
-            }
-        }
-        self.telemetry
-            .incr_labeled("qxsim.sampling_fast_path", "miss", 1);
-        let _span = self.telemetry.span("qxsim", "shot_execution");
-        let counting = self.telemetry.is_enabled();
-        if threads <= 1 {
-            let mut hist = ShotHistogram::new();
-            let mut counts: KernelCounts = [0; KernelClass::COUNT];
-            for shot in 0..shots {
-                let mut rng = self.shot_rng(shot);
-                let bits = self
-                    .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
-                    .bits;
-                hist.record(bits);
-            }
-            self.record_kernel_counts(&counts);
-            return Ok(hist);
-        }
-        let (results, counts) = std::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            for t in 0..threads {
-                let lo = shots * t as u64 / threads as u64;
-                let hi = shots * (t as u64 + 1) / threads as u64;
-                let sim = self;
-                handles.push(scope.spawn(move || {
-                    let mut out = Vec::with_capacity((hi - lo) as usize);
-                    let mut counts: KernelCounts = [0; KernelClass::COUNT];
-                    for shot in lo..hi {
-                        let mut rng = sim.shot_rng(shot);
-                        let bits = sim
-                            .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
-                            .bits;
-                        out.push(bits);
-                    }
-                    (out, counts)
-                }));
-            }
-            let mut all = Vec::with_capacity(shots as usize);
-            let mut total: KernelCounts = [0; KernelClass::COUNT];
-            for h in handles {
-                match h.join() {
-                    Ok((part, counts)) => {
-                        all.extend(part);
-                        for (t, c) in total.iter_mut().zip(counts) {
-                            *t += c;
-                        }
-                    }
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok((all, total))
-        })?;
-        self.record_kernel_counts(&counts);
-        Ok(results.into_iter().collect())
-    }
-
-    /// The engine [`EngineSelect::Auto`] picks for a plan: the cheapest
-    /// one that is provably exact for its circuit class.
-    fn auto_engine(plan: &CompiledProgram) -> EngineSelect {
-        match plan.circuit_class() {
-            CircuitClass::CliffordTerminal => EngineSelect::PauliFrame,
-            CircuitClass::Clifford => EngineSelect::Tableau,
-            CircuitClass::General => EngineSelect::StateVector,
-        }
-    }
-
-    /// Resolves the configured engine selection against a plan's circuit
-    /// class.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecuteError::EngineMismatch`] when a forced engine
-    /// cannot execute the plan: the state-vector engine past
-    /// [`MAX_SIM_QUBITS`] qubits, the tableau executor on a `General`
-    /// plan, or the Pauli-frame sampler on anything but a
-    /// `CliffordTerminal` plan.
-    fn resolve_engine(&self, plan: &CompiledProgram) -> Result<EngineSelect, ExecuteError> {
-        let class = plan.circuit_class();
-        match self.engine_select {
-            EngineSelect::Auto => Ok(Self::auto_engine(plan)),
-            EngineSelect::StateVector => {
-                if plan.qubit_count() > MAX_SIM_QUBITS {
-                    return Err(ExecuteError::EngineMismatch {
-                        engine: "state_vector".to_string(),
-                        detail: format!(
-                            "plan needs {} qubits but the state-vector engine supports at most {}",
-                            plan.qubit_count(),
-                            MAX_SIM_QUBITS
-                        ),
-                    });
-                }
-                Ok(EngineSelect::StateVector)
-            }
-            EngineSelect::Tableau => {
-                if plan.stab_ops().is_none() {
-                    return Err(ExecuteError::EngineMismatch {
-                        engine: "tableau".to_string(),
-                        detail: format!(
-                            "plan class is {}; the tableau engine requires a Clifford plan",
-                            class.name()
-                        ),
-                    });
-                }
-                Ok(EngineSelect::Tableau)
-            }
-            EngineSelect::PauliFrame => {
-                if class != CircuitClass::CliffordTerminal {
-                    return Err(ExecuteError::EngineMismatch {
-                        engine: "pauli_frame".to_string(),
-                        detail: format!(
-                            "plan class is {}; the Pauli-frame sampler requires a \
-                             terminally-measured Clifford plan",
-                            class.name()
-                        ),
-                    });
-                }
-                Ok(EngineSelect::PauliFrame)
-            }
-        }
-    }
-
-    /// The concrete engine this simulator's [`EngineSelect`] resolves to
-    /// for a plan — what a sweep of it would actually run on. Lets
-    /// dispatchers (the service) pre-flight forced selections and label
-    /// telemetry before committing a sharded sweep.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecuteError::EngineMismatch`] when a forced engine
-    /// cannot execute the plan (see [`Simulator::with_engine_select`]).
-    pub fn plan_engine(&self, plan: &CompiledProgram) -> Result<EngineSelect, ExecuteError> {
-        self.resolve_engine(plan)
-    }
-
-    /// Runs a Clifford plan on the per-shot CHP tableau executor.
-    fn run_tableau_planned(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let Some(ops) = plan.stab_ops() else {
-            return Err(ExecuteError::EngineMismatch {
-                engine: "tableau".to_string(),
-                detail: "plan has no stabilizer lowering".to_string(),
-            });
-        };
-        let _span = self.telemetry.span("qxsim", "stab_tableau");
-        self.telemetry.incr("qxsim.stab.tableau_shots", shots);
-        let n = plan.qubit_count();
-        if threads <= 1 {
-            return Ok(self.tableau_range(ops, n, 0, shots));
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    scope.spawn(move || self.tableau_range(ops, n, lo, hi))
-                })
-                .collect();
-            let mut total = ShotHistogram::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => total.merge(&part),
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok(total)
-        })
-    }
-
-    /// Executes tableau shots `lo..hi`, sampling a wall-clock timing every
-    /// [`KERNEL_TIMING_SAMPLE_EVERY`] shots when telemetry is enabled.
-    fn tableau_range(&self, ops: &[StabOp], n: usize, lo: u64, hi: u64) -> ShotHistogram {
-        let mut hist = ShotHistogram::new();
-        let timing = self.telemetry.is_enabled();
-        for shot in lo..hi {
-            let mut rng = self.shot_rng(shot);
-            if timing && (shot - lo).is_multiple_of(KERNEL_TIMING_SAMPLE_EVERY) {
-                let start = Instant::now();
-                let bits = stabilizer::tableau_shot(ops, n, &mut rng);
-                self.telemetry.record_value_labeled(
-                    "qxsim.stab.shot_ns",
-                    "tableau",
-                    start.elapsed().as_nanos() as f64,
-                );
-                hist.record(bits);
-            } else {
-                hist.record(stabilizer::tableau_shot(ops, n, &mut rng));
-            }
-        }
-        hist
-    }
-
-    /// Runs a `CliffordTerminal` plan on the bit-packed Pauli-frame
-    /// sampler. Falls back to the tableau executor (bit-identical) when
-    /// the terminal run needs more than 64 random variables.
-    fn run_frames_planned(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let Some(ops) = plan.stab_ops() else {
-            return Err(ExecuteError::EngineMismatch {
-                engine: "pauli_frame".to_string(),
-                detail: "plan has no stabilizer lowering".to_string(),
-            });
-        };
-        let Some(sampler) = FrameSampler::build(ops, plan.qubit_count()) else {
-            self.telemetry.incr("qxsim.stab.frame_fallback", 1);
-            return self.run_tableau_planned(plan, shots, threads);
-        };
-        let _span = self.telemetry.span("qxsim", "stab_frames");
-        self.telemetry.incr("qxsim.stab.frame_shots", shots);
-        self.telemetry
-            .incr("qxsim.stab.frame_words", FrameSampler::words(shots));
-        let sampler = &sampler;
-        if threads <= 1 {
-            return Ok(sampler.sample_range(self.seed, SHOT_SEED_STRIDE, 0, shots));
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    scope.spawn(move || sampler.sample_range(self.seed, SHOT_SEED_STRIDE, lo, hi))
-                })
-                .collect();
-            let mut total = ShotHistogram::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => total.merge(&part),
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok(total)
-        })
-    }
-
-    /// The sampling fast path: evolve the (noise-free, terminally measured)
-    /// plan once, then draw every shot from the cumulative probability
-    /// table of the final state.
-    ///
-    /// Bit-exactness with full re-simulation: a full shot would apply the
-    /// same gates with no RNG draws, then consume exactly one `f64` from
-    /// the shot's stream inside `measure_all` (readout is exact, so
-    /// `flip_readout` draws nothing). Here each shot consumes that same
-    /// first `f64`, and the binary search on the cumulative table returns
-    /// the same basis state as the linear accumulation scan.
-    fn run_terminal_sampling(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _span = self.telemetry.span("qxsim", "sample_shots");
-        let state = self.evolve_prefix(plan);
-        let cum = state.cumulative_probabilities();
-        // Outcomes are counted into a dense per-basis-state bucket array and
-        // folded into the histogram once at the end: a map update per shot
-        // costs more than the draw itself for small programs. States too
-        // large for a bucket table record per shot instead.
-        const MAX_BUCKETS: usize = 1 << 20;
-        if cum.len() > MAX_BUCKETS {
-            let sample_range = |lo: u64, hi: u64| -> Vec<u64> {
-                (lo..hi)
-                    .map(|shot| StateVector::sample_from_cumulative(&cum, self.shot_draw(shot)))
-                    .collect()
-            };
-            if threads <= 1 {
-                return Ok(sample_range(0, shots).into_iter().collect());
-            }
-            let results: Vec<u64> = std::thread::scope(|scope| {
-                let mut handles = Vec::new();
-                for t in 0..threads {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    handles.push(scope.spawn(move || sample_range(lo, hi)));
-                }
-                let mut all = Vec::with_capacity(shots as usize);
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => all.extend(part),
-                        Err(payload) => return Err(worker_error(payload)),
-                    }
-                }
-                Ok(all)
-            })?;
-            return Ok(results.into_iter().collect());
-        }
-        let count_range = |lo: u64, hi: u64| -> Vec<u64> {
-            let mut buckets = vec![0u64; cum.len()];
-            for shot in lo..hi {
-                let r = self.shot_draw(shot);
-                buckets[StateVector::sample_from_cumulative(&cum, r) as usize] += 1;
-            }
-            buckets
-        };
-        let buckets = if threads <= 1 {
-            count_range(0, shots)
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..threads)
-                    .map(|t| {
-                        let lo = shots * t as u64 / threads as u64;
-                        let hi = shots * (t as u64 + 1) / threads as u64;
-                        scope.spawn(move || count_range(lo, hi))
-                    })
-                    .collect();
-                let mut total = vec![0u64; cum.len()];
-                for h in handles {
-                    match h.join() {
-                        Ok(part) => {
-                            for (t, b) in total.iter_mut().zip(part) {
-                                *t += b;
-                            }
-                        }
-                        Err(payload) => return Err(worker_error(payload)),
-                    }
-                }
-                Ok(total)
-            })?
-        };
-        let mut hist = ShotHistogram::new();
-        for (bits, &count) in buckets.iter().enumerate() {
-            hist.record_many(bits as u64, count);
-        }
-        Ok(hist)
-    }
-
     /// Applies the unitary gate prefix of a sampling-eligible plan to a
     /// fresh zero state, folding the kernel-dispatch counts into telemetry
     /// once.
@@ -879,188 +780,22 @@ impl Simulator {
         state
     }
 
-    /// The per-qubit variant of the sampling fast path: evolve the
-    /// noise-free gate prefix once, then replay the terminal `measure` run
-    /// for every shot against the frozen state, memoising the conditional
-    /// one-probabilities per realised outcome prefix (see
-    /// [`MeasureCascade`]).
+    /// Prepares a density-matrix sweep: evolves the full density matrix
+    /// through the plan's unitary/idle prefix with *exact* channel
+    /// semantics (no trajectory sampling), then tabulates the measured
+    /// qubits' joint distribution from its diagonal.
     ///
-    /// Bit-exactness with full re-simulation: a full shot applies the same
-    /// gates with no RNG draws, then for each terminal `measure q` computes
-    /// `P(q = 1)` on its collapsed state and consumes exactly one `f64`
-    /// (`gen_bool`; readout is exact for sampling-eligible plans, so
-    /// `flip_readout` draws nothing). The cascade computes the identical
-    /// probability by replaying the same collapse chain on a clone of the
-    /// frozen state — the same floating-point operations in the same order
-    /// — and consumes the same draw from the same per-shot stream.
-    fn run_terminal_measure_run(
-        &self,
-        plan: &CompiledProgram,
-        qs: &[usize],
-        shots: u64,
-        threads: usize,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _span = self.telemetry.span("qxsim", "sample_shots");
-        let state = self.evolve_prefix(plan);
-        let state = &state;
-        let sample_range = |lo: u64, hi: u64| -> ShotHistogram {
-            let mut cascade = MeasureCascade::new(state, qs);
-            let mut hist = ShotHistogram::new();
-            for shot in lo..hi {
-                let mut rng = self.shot_rng(shot);
-                hist.record(cascade.sample(&mut rng));
-            }
-            hist
-        };
-        if threads <= 1 {
-            return Ok(sample_range(0, shots));
-        }
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads)
-                .map(|t| {
-                    let lo = shots * t as u64 / threads as u64;
-                    let hi = shots * (t as u64 + 1) / threads as u64;
-                    let sample_range = &sample_range;
-                    scope.spawn(move || sample_range(lo, hi))
-                })
-                .collect();
-            let mut total = ShotHistogram::new();
-            for h in handles {
-                match h.join() {
-                    Ok(part) => total.merge(&part),
-                    Err(payload) => return Err(worker_error(payload)),
-                }
-            }
-            Ok(total)
-        })
-    }
-
-    /// Executes exactly shots `lo..hi` of a multi-shot run on a
-    /// pre-compiled plan, returning their partial histogram.
-    ///
-    /// Shots draw from the same counter-derived per-shot streams as
-    /// [`Simulator::run_shots`], so merging the partial histograms of any
-    /// disjoint cover of `0..shots` (see [`ShotHistogram::merge`])
-    /// reproduces the single-call histogram bit-for-bit — the sharding
-    /// primitive the serving runtime uses to split one large job across a
-    /// worker pool.
-    ///
-    /// Fault injection is *not* applied here: a sharding coordinator
-    /// truncates or fails the whole run before splitting (as
-    /// [`Simulator::run_shots_planned`] does).
-    pub fn run_shot_range(&self, plan: &CompiledProgram, lo: u64, hi: u64) -> ShotHistogram {
-        let mut hist = ShotHistogram::new();
-        if lo >= hi {
-            return hist;
-        }
-        // A forced engine that mismatches the plan falls back to automatic
-        // selection here: this entry point has no error channel, and the
-        // coordinator (which does) has already vetted the engine choice.
-        let engine = self
-            .resolve_engine(plan)
-            .unwrap_or_else(|_| Self::auto_engine(plan));
-        match engine {
-            EngineSelect::Tableau => {
-                if let Some(ops) = plan.stab_ops() {
-                    return self.tableau_range(ops, plan.qubit_count(), lo, hi);
-                }
-            }
-            EngineSelect::PauliFrame => {
-                if let Some(ops) = plan.stab_ops() {
-                    match FrameSampler::build(ops, plan.qubit_count()) {
-                        Some(sampler) => {
-                            return sampler.sample_range(self.seed, SHOT_SEED_STRIDE, lo, hi)
-                        }
-                        None => return self.tableau_range(ops, plan.qubit_count(), lo, hi),
-                    }
-                }
-            }
-            _ => {}
-        }
-        if self.sampling_fast_path {
-            match plan.sampling_measures() {
-                Some(TerminalMeasure::All) => {
-                    let state = self.evolve_prefix(plan);
-                    let cum = state.cumulative_probabilities();
-                    for shot in lo..hi {
-                        let r = self.shot_draw(shot);
-                        hist.record(StateVector::sample_from_cumulative(&cum, r));
-                    }
-                    return hist;
-                }
-                Some(TerminalMeasure::Run(qs)) => {
-                    let qs = qs.clone();
-                    let state = self.evolve_prefix(plan);
-                    let mut cascade = MeasureCascade::new(&state, &qs);
-                    for shot in lo..hi {
-                        let mut rng = self.shot_rng(shot);
-                        hist.record(cascade.sample(&mut rng));
-                    }
-                    return hist;
-                }
-                None => {}
-            }
-        }
-        let counting = self.telemetry.is_enabled();
-        let mut counts: KernelCounts = [0; KernelClass::COUNT];
-        for shot in lo..hi {
-            let mut rng = self.shot_rng(shot);
-            let bits = self
-                .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
-                .bits;
-            hist.record(bits);
-        }
-        self.record_kernel_counts(&counts);
-        hist
-    }
-
-    /// Runs the program with *exact* channel semantics on the
-    /// density-matrix engine and samples `shots` measurement outcomes from
-    /// the final mixed state. See [`Simulator::run_density_planned`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecuteError::Invalid`] if the program fails validation or
-    /// uses operations the density engine does not support, and
-    /// [`ExecuteError::TooManyQubits`] above [`MAX_DENSITY_QUBITS`].
-    pub fn run_shots_density(
-        &self,
-        program: &Program,
-        shots: u64,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _run_span = self.telemetry.span("qxsim", "run_shots_density");
-        let plan = {
-            let _span = self.telemetry.span("qxsim", "plan_compile");
-            self.compile(program)?
-        };
-        self.run_density_planned(&plan, shots)
-    }
-
-    /// The density-matrix analogue of [`Simulator::run_shots_planned`]:
-    /// evolves the full density matrix through the plan's unitary/idle
-    /// prefix with *exact* channel semantics (no trajectory sampling), then
-    /// draws every shot from the diagonal of the final mixed state.
-    ///
-    /// Deterministic per seed (same per-shot streams as the state-vector
-    /// engine), but *not* trajectory-compatible: a noisy state-vector run
+    /// Deterministic per seed (same per-shot streams as the other
+    /// engines), but *not* trajectory-compatible: a noisy state-vector run
     /// samples one Kraus branch per shot while this engine averages the
     /// channel exactly, so histograms agree in distribution, not per shot.
     ///
     /// Supported plans: unitary gates, `skip`/`wait` idling, and a terminal
-    /// measurement (`measure_all` or a trailing `measure` run). Mid-circuit
-    /// measurement, conditionals and `prep_z` would require trajectory
-    /// branching and are rejected as [`ExecuteError::Invalid`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecuteError::Invalid`] for unsupported plan shapes and
-    /// [`ExecuteError::TooManyQubits`] above [`MAX_DENSITY_QUBITS`].
-    pub fn run_density_planned(
-        &self,
-        plan: &CompiledProgram,
-        shots: u64,
-    ) -> Result<ShotHistogram, ExecuteError> {
-        let _span = self.telemetry.span("qxsim", "density_shots");
+    /// measurement (`measure_all` or a trailing `measure` run) on at most
+    /// [`MAX_DENSITY_QUBITS`] qubits. Mid-circuit measurement,
+    /// conditionals and `prep_z` would require trajectory branching and
+    /// are rejected as [`ExecuteError::Invalid`].
+    fn density_sweep(&self, plan: &CompiledProgram) -> Result<SweepKind<'static>, ExecuteError> {
         let n = plan.qubit_count();
         if n > MAX_DENSITY_QUBITS {
             return Err(ExecuteError::TooManyQubits {
@@ -1068,22 +803,25 @@ impl Simulator {
                 max: MAX_DENSITY_QUBITS,
             });
         }
-        let suffix = plan.terminal_measurement().cloned().ok_or_else(|| {
-            ExecuteError::Invalid(
-                "density engine requires a program ending in measurements".to_string(),
-            )
-        })?;
-        let suffix_len = match &suffix {
-            TerminalMeasure::All => 1,
-            TerminalMeasure::Run(qs) => qs.len(),
+        let (targets, suffix_len) = match plan.terminal_measurement() {
+            Some(TerminalMeasure::All) => ((0..n).collect::<Vec<_>>(), 1),
+            Some(TerminalMeasure::Run(qs)) => (qs.clone(), qs.len()),
+            None => {
+                return Err(ExecuteError::Invalid(
+                    "density engine requires a program ending in measurements".to_string(),
+                ))
+            }
         };
-        let prefix = &plan.ops()[..plan.ops().len() - suffix_len];
-        let shots = self.effective_shots(shots)?;
-        self.telemetry.incr("qxsim.density.runs", 1);
-        self.telemetry.incr("qxsim.density.shots", shots);
+        // A run can repeat a qubit, so its length (not the register size)
+        // bounds the pattern table.
+        if targets.len() > 2 * MAX_DENSITY_QUBITS {
+            return Err(ExecuteError::Invalid(
+                "terminal measure run too long for the density engine".to_string(),
+            ));
+        }
         let mut rho = DensityMatrix::zero_state(n);
         let idle = self.model.idle_channel();
-        for op in prefix {
+        for op in &plan.ops()[..plan.ops().len() - suffix_len] {
             match op {
                 PlannedOp::Gate(g) => {
                     match kernel_unitary(&g.kernel) {
@@ -1132,62 +870,21 @@ impl Simulator {
                 }
             }
         }
-        let probs = rho.diagonal_probabilities();
-        let readout = self.model.readout_error();
-        let mut hist = ShotHistogram::new();
-        match &suffix {
-            TerminalMeasure::All => {
-                let cum = cumulative(&probs);
-                for shot in 0..shots {
-                    let mut rng = self.shot_rng(shot);
-                    let r: f64 = rng.gen();
-                    let basis = StateVector::sample_from_cumulative(&cum, r);
-                    let mut bits = 0u64;
-                    for q in 0..n {
-                        let outcome = (basis >> q) & 1 == 1;
-                        set_bit(&mut bits, q, flip_readout(outcome, readout, &mut rng));
-                    }
-                    hist.record(bits);
-                }
+        // Marginalise the diagonal onto the measured qubits: pattern bit
+        // `j` is the outcome of `targets[j]` (for `measure_all`, the
+        // pattern is the basis state itself).
+        let mut joint = vec![0.0f64; 1usize << targets.len()];
+        for (basis, p) in rho.diagonal_probabilities().iter().enumerate() {
+            let mut pattern = 0usize;
+            for (j, &q) in targets.iter().enumerate() {
+                pattern |= ((basis >> q) & 1) << j;
             }
-            TerminalMeasure::Run(qs) => {
-                // Marginalise the diagonal onto the measured qubits: pattern
-                // bit `j` is the outcome of `qs[j]`. A run can repeat a
-                // qubit, so its length (not the register size) bounds the
-                // pattern table.
-                if qs.len() > 2 * MAX_DENSITY_QUBITS {
-                    return Err(ExecuteError::Invalid(
-                        "terminal measure run too long for the density engine".to_string(),
-                    ));
-                }
-                let mut joint = vec![0.0f64; 1usize << qs.len()];
-                for (basis, p) in probs.iter().enumerate() {
-                    if *p <= 0.0 {
-                        continue;
-                    }
-                    let mut pattern = 0usize;
-                    for (j, &q) in qs.iter().enumerate() {
-                        if (basis >> q) & 1 == 1 {
-                            pattern |= 1 << j;
-                        }
-                    }
-                    joint[pattern] += p;
-                }
-                let cum = cumulative(&joint);
-                for shot in 0..shots {
-                    let mut rng = self.shot_rng(shot);
-                    let r: f64 = rng.gen();
-                    let pattern = StateVector::sample_from_cumulative(&cum, r);
-                    let mut bits = 0u64;
-                    for (j, &q) in qs.iter().enumerate() {
-                        let outcome = (pattern >> j) & 1 == 1;
-                        set_bit(&mut bits, q, flip_readout(outcome, readout, &mut rng));
-                    }
-                    hist.record(bits);
-                }
-            }
+            joint[pattern] += p;
         }
-        Ok(hist)
+        Ok(SweepKind::Density {
+            cum: cumulative(&joint),
+            targets,
+        })
     }
 
     /// The RNG stream for shot `shot` of a multi-shot run.
@@ -1202,21 +899,6 @@ impl Simulator {
     #[inline]
     fn shot_draw(&self, shot: u64) -> f64 {
         StdRng::first_f64(self.seed.wrapping_add(shot.wrapping_mul(SHOT_SEED_STRIDE)))
-    }
-
-    /// Runs the program once with a caller-provided RNG.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ExecuteError::Invalid`] if the program fails validation.
-    pub fn run_with_rng<R: Rng + ?Sized>(
-        &self,
-        program: &Program,
-        rng: &mut R,
-    ) -> Result<ShotResult, ExecuteError> {
-        let plan = self.compile(program)?;
-        Self::check_state_capacity(&plan)?;
-        Ok(self.run_compiled(&plan, rng))
     }
 
     /// Executes a compiled plan once with the given RNG (the full
@@ -1327,6 +1009,46 @@ impl Simulator {
     }
 }
 
+/// One run's prepared sweep: the resolved engine plus everything its shots
+/// share. Built once by [`Simulator::prepare`], then executed range by
+/// range by [`Simulator::sweep_range`] — inline, across threads, or across
+/// the serving layer's shards.
+struct Sweep<'p> {
+    /// The resolved engine. A Pauli-frame selection keeps its name when
+    /// its layout falls back to the tableau.
+    engine: EngineSelect,
+    kind: SweepKind<'p>,
+}
+
+/// What a [`Sweep`] executes per shot.
+enum SweepKind<'p> {
+    /// A noise-free plan ending in `measure_all`: the cumulative
+    /// probability table of the evolved prefix. A full shot would apply
+    /// the same gates with no RNG draws, then consume exactly one `f64`
+    /// inside `measure_all` (readout is exact, so `flip_readout` draws
+    /// nothing); the binary search on the table returns the same basis
+    /// state for that draw as the linear accumulation scan.
+    Table(Vec<f64>),
+    /// A noise-free plan ending in a per-qubit `measure` run: the evolved
+    /// prefix state, replayed per shot through a [`MeasureCascade`], which
+    /// computes each conditional probability by the interpreter's own
+    /// collapse chain and consumes the same `gen_bool` draws.
+    Cascade(StateVector, &'p [usize]),
+    /// Any other state-vector plan (noisy, mid-circuit measurement,
+    /// feedback, or the fast path switched off): the per-shot interpreter.
+    Interpreter(&'p CompiledProgram),
+    /// A Clifford plan's stabilizer lowering and qubit count, run per shot
+    /// on a fresh CHP tableau.
+    Tableau(&'p [StabOp], usize),
+    /// A `CliffordTerminal` plan's bit-packed Pauli-frame layout.
+    Frames(FrameSampler),
+    /// The exact density-matrix engine: the cumulative joint distribution
+    /// of the measured qubits, where pattern bit `j` reports register bit
+    /// `targets[j]`. Each shot draws one `f64` for the pattern, then one
+    /// readout flip per measured qubit.
+    Density { cum: Vec<f64>, targets: Vec<usize> },
+}
+
 /// Lazily-memoised conditional measurement probabilities for a terminal
 /// per-qubit `measure` run over a frozen pre-measurement state.
 ///
@@ -1422,14 +1144,6 @@ fn worker_error(payload: Box<dyn std::any::Any + Send>) -> ExecuteError {
         .or_else(|| payload.downcast_ref::<String>().cloned())
         .unwrap_or_else(|| "worker panicked with non-string payload".to_string());
     ExecuteError::Worker(msg)
-}
-
-fn set_bit(bits: &mut u64, index: usize, value: bool) {
-    if value {
-        *bits |= 1 << index;
-    } else {
-        *bits &= !(1 << index);
-    }
 }
 
 #[cfg(test)]
@@ -1629,28 +1343,38 @@ mod parallel_tests {
     #[test]
     fn parallel_result_is_independent_of_thread_count() {
         let sim = Simulator::perfect().with_seed(77);
-        let h1 = sim.run_shots_parallel(&bell(), 400, 1).unwrap();
-        let h4 = sim.run_shots_parallel(&bell(), 400, 4).unwrap();
-        let h7 = sim.run_shots_parallel(&bell(), 400, 7).unwrap();
+        let h1 = sim
+            .run_shots_planned(&sim.compile(&bell()).unwrap(), 400, 1)
+            .unwrap();
+        let h4 = sim
+            .run_shots_planned(&sim.compile(&bell()).unwrap(), 400, 4)
+            .unwrap();
+        let h7 = sim
+            .run_shots_planned(&sim.compile(&bell()).unwrap(), 400, 7)
+            .unwrap();
         assert_eq!(h1, h4);
         assert_eq!(h4, h7);
     }
 
     #[test]
     fn sequential_equals_parallel() {
-        // run_shots and run_shots_parallel share per-shot RNG streams, for
-        // noisy (full interpreter) programs too.
+        // One thread and five share per-shot RNG streams, for noisy (full
+        // interpreter) programs too.
         let noisy = Simulator::with_model(QubitModel::realistic_depolarizing(0.02, 0.05, 0.01))
             .with_seed(11);
         let hs = noisy.run_shots(&bell(), 300).unwrap();
-        let hp = noisy.run_shots_parallel(&bell(), 300, 5).unwrap();
+        let hp = noisy
+            .run_shots_planned(&noisy.compile(&bell()).unwrap(), 300, 5)
+            .unwrap();
         assert_eq!(hs, hp);
     }
 
     #[test]
     fn parallel_statistics_match_physics() {
         let sim = Simulator::perfect().with_seed(3);
-        let h = sim.run_shots_parallel(&bell(), 2000, 4).unwrap();
+        let h = sim
+            .run_shots_planned(&sim.compile(&bell()).unwrap(), 2000, 4)
+            .unwrap();
         assert_eq!(h.shots(), 2000);
         assert_eq!(h.count(0b01) + h.count(0b10), 0);
         let p00 = h.probability(0b00);
@@ -1664,7 +1388,7 @@ mod parallel_tests {
         s.push(Instruction::gate(GateKind::H, &[5]));
         p.push_subcircuit(s);
         assert!(matches!(
-            Simulator::perfect().run_shots_parallel(&p, 10, 2),
+            Simulator::perfect().compile(&p),
             Err(ExecuteError::Invalid(_))
         ));
     }
@@ -1672,7 +1396,9 @@ mod parallel_tests {
     #[test]
     fn zero_threads_clamps_to_one() {
         let sim = Simulator::perfect();
-        let h = sim.run_shots_parallel(&bell(), 10, 0).unwrap();
+        let h = sim
+            .run_shots_planned(&sim.compile(&bell()).unwrap(), 10, 0)
+            .unwrap();
         assert_eq!(h.shots(), 10);
     }
 }
@@ -1718,8 +1444,12 @@ mod fast_path_tests {
     fn fast_path_is_thread_count_independent() {
         let sim = Simulator::perfect().with_seed(9);
         let p = ghz(6);
-        let h1 = sim.run_shots_parallel(&p, 1000, 1).unwrap();
-        let h3 = sim.run_shots_parallel(&p, 1000, 3).unwrap();
+        let h1 = sim
+            .run_shots_planned(&sim.compile(&p).unwrap(), 1000, 1)
+            .unwrap();
+        let h3 = sim
+            .run_shots_planned(&sim.compile(&p).unwrap(), 1000, 3)
+            .unwrap();
         assert_eq!(h1, h3);
     }
 
@@ -1789,8 +1519,12 @@ mod measure_run_fast_path_tests {
     fn measure_run_fast_path_is_thread_count_independent() {
         let sim = Simulator::perfect().with_seed(9);
         let p = bell_measured();
-        let h1 = sim.run_shots_parallel(&p, 1000, 1).unwrap();
-        let h4 = sim.run_shots_parallel(&p, 1000, 4).unwrap();
+        let h1 = sim
+            .run_shots_planned(&sim.compile(&p).unwrap(), 1000, 1)
+            .unwrap();
+        let h4 = sim
+            .run_shots_planned(&sim.compile(&p).unwrap(), 1000, 4)
+            .unwrap();
         assert_eq!(h1, h4);
     }
 
@@ -1960,7 +1694,11 @@ mod fusion_execution_tests {
         let sim = Simulator::perfect().with_seed(5);
         let plan = sim.compile(&p).unwrap();
         assert!(plan.fusion_stats().fused_diag_batches >= 1);
-        let hd = sim.run_density_planned(&plan, 2000).unwrap();
+        let hd = sim
+            .clone()
+            .with_engine_select(EngineSelect::Density)
+            .run_shots_planned(&plan, 2000, 1)
+            .unwrap();
         let hs = sim.run_shots(&p, 2000).unwrap();
         for bits in 0..4u64 {
             assert!(
@@ -2020,7 +1758,7 @@ mod plan_reuse_tests {
         let sim = Simulator::perfect().with_seed(31);
         let plan = sim.compile(&bell()).unwrap();
         let planned = sim.run_shots_planned(&plan, 400, 2).unwrap();
-        let fresh = sim.run_shots_parallel(&bell(), 400, 2).unwrap();
+        let fresh = sim.run_shots(&bell(), 400).unwrap();
         assert_eq!(planned, fresh);
     }
 
@@ -2048,7 +1786,7 @@ mod plan_reuse_tests {
                 let whole = sim.run_shots_planned(&plan, 300, 1).unwrap();
                 let mut merged = ShotHistogram::new();
                 for (lo, hi) in [(120, 300), (0, 77), (77, 120)] {
-                    merged.merge(&sim.run_shot_range(&plan, lo, hi));
+                    merged.merge(&sim.run_shot_range(&plan, lo, hi).unwrap());
                 }
                 assert_eq!(merged, whole);
             }
@@ -2059,7 +1797,7 @@ mod plan_reuse_tests {
     fn empty_shot_range_is_empty() {
         let sim = Simulator::perfect();
         let plan = sim.compile(&bell()).unwrap();
-        assert_eq!(sim.run_shot_range(&plan, 10, 10).shots(), 0);
+        assert_eq!(sim.run_shot_range(&plan, 10, 10).unwrap().shots(), 0);
     }
 
     #[test]
@@ -2089,10 +1827,14 @@ mod density_engine_tests {
             .build()
     }
 
+    fn density(model: QubitModel) -> Simulator {
+        Simulator::with_model(model).with_engine_select(EngineSelect::Density)
+    }
+
     #[test]
     fn density_bell_matches_state_vector_statistics() {
-        let hist = Simulator::perfect()
-            .run_shots_density(&bell(), 2000)
+        let hist = density(QubitModel::Perfect)
+            .run_shots(&bell(), 2000)
             .unwrap();
         assert_eq!(hist.count(0b01) + hist.count(0b10), 0);
         let p00 = hist.probability(0b00);
@@ -2101,10 +1843,10 @@ mod density_engine_tests {
 
     #[test]
     fn density_is_deterministic_per_seed() {
-        let sim = Simulator::perfect().with_seed(17);
+        let sim = density(QubitModel::Perfect).with_seed(17);
         assert_eq!(
-            sim.run_shots_density(&bell(), 300).unwrap(),
-            sim.run_shots_density(&bell(), 300).unwrap()
+            sim.run_shots(&bell(), 300).unwrap(),
+            sim.run_shots(&bell(), 300).unwrap()
         );
     }
 
@@ -2117,7 +1859,7 @@ mod density_engine_tests {
             .measure(1)
             .measure(0)
             .build();
-        let hist = Simulator::perfect().run_shots_density(&p, 1000).unwrap();
+        let hist = density(QubitModel::Perfect).run_shots(&p, 1000).unwrap();
         assert_eq!(hist.count(0b00) + hist.count(0b01), 0);
         let p10 = hist.probability(0b10);
         assert!((p10 - 0.5).abs() < 0.06, "p10 = {p10}");
@@ -2131,8 +1873,8 @@ mod density_engine_tests {
             .gate(GateKind::X, &[0])
             .measure(0)
             .build();
-        let sim = Simulator::with_model(QubitModel::realistic_depolarizing(0.3, 0.0, 0.0));
-        let hist = sim.run_shots_density(&p, 4000).unwrap();
+        let sim = density(QubitModel::realistic_depolarizing(0.3, 0.0, 0.0));
+        let hist = sim.run_shots(&p, 4000).unwrap();
         let p1 = hist.probability(1);
         assert!((p1 - 0.8).abs() < 0.03, "p1 = {p1}");
     }
@@ -2146,7 +1888,7 @@ mod density_engine_tests {
             .measure(0)
             .build();
         assert!(matches!(
-            Simulator::perfect().run_shots_density(&p, 10),
+            density(QubitModel::Perfect).run_shots(&p, 10),
             Err(ExecuteError::Invalid(_))
         ));
     }
@@ -2157,7 +1899,7 @@ mod density_engine_tests {
         b = b.gate(GateKind::X, &[0]);
         let p = b.measure_all().build();
         assert!(matches!(
-            Simulator::perfect().run_shots_density(&p, 10),
+            density(QubitModel::Perfect).run_shots(&p, 10),
             Err(ExecuteError::TooManyQubits { .. })
         ));
     }
@@ -2221,7 +1963,7 @@ mod fault_injection_tests {
         // The fault also fires through the parallel path and the slow path.
         let slow = sim.clone().with_sampling_fast_path(false);
         assert_eq!(
-            slow.run_shots_parallel(&bell(), 100, 4),
+            slow.run_shots_planned(&slow.compile(&bell()).unwrap(), 100, 4),
             Err(ExecuteError::InjectedFault { shot: 7 })
         );
     }
@@ -2384,16 +2126,14 @@ mod stabilizer_engine_tests {
     fn stab_engines_shard_bit_identically() {
         let p = clifford_mid_measure();
         let whole = sim(EngineSelect::Auto).run_shots(&p, 240).unwrap();
-        let threaded = sim(EngineSelect::Auto)
-            .run_shots_parallel(&p, 240, 4)
-            .unwrap();
-        assert_eq!(whole, threaded);
-        // Out-of-order shard merge via run_shot_range.
         let s = sim(EngineSelect::Auto);
         let plan = s.compile(&p).unwrap();
-        let mut merged = s.run_shot_range(&plan, 160, 240);
-        merged.merge(&s.run_shot_range(&plan, 0, 80));
-        merged.merge(&s.run_shot_range(&plan, 80, 160));
+        let threaded = s.run_shots_planned(&plan, 240, 4).unwrap();
+        assert_eq!(whole, threaded);
+        // Out-of-order shard merge via run_shot_range.
+        let mut merged = s.run_shot_range(&plan, 160, 240).unwrap();
+        merged.merge(&s.run_shot_range(&plan, 0, 80).unwrap());
+        merged.merge(&s.run_shot_range(&plan, 80, 160).unwrap());
         assert_eq!(whole, merged);
 
         let g = ghz(6);
@@ -2401,9 +2141,9 @@ mod stabilizer_engine_tests {
         let plan = sim(EngineSelect::PauliFrame).compile(&g).unwrap();
         let s = sim(EngineSelect::PauliFrame);
         // Shard boundaries that are not 64-aligned must not matter.
-        let mut merged = s.run_shot_range(&plan, 130, 500);
-        merged.merge(&s.run_shot_range(&plan, 0, 33));
-        merged.merge(&s.run_shot_range(&plan, 33, 130));
+        let mut merged = s.run_shot_range(&plan, 130, 500).unwrap();
+        merged.merge(&s.run_shot_range(&plan, 0, 33).unwrap());
+        merged.merge(&s.run_shot_range(&plan, 33, 130).unwrap());
         assert_eq!(whole, merged);
     }
 
@@ -2449,7 +2189,7 @@ mod stabilizer_engine_tests {
         assert!(plan.qubit_count() > MAX_SIM_QUBITS);
         assert!(plan.qubit_count() <= MAX_STAB_QUBITS);
         let hist = sim(EngineSelect::Auto)
-            .run_shots_parallel(&p, 500, 4)
+            .run_shots_planned(&plan, 500, 4)
             .unwrap();
         // Perfect GHZ correlations: the first 32 qubits agree in every shot.
         let ones = (1u64 << 32) - 1;
@@ -2511,6 +2251,179 @@ mod stabilizer_engine_tests {
                 assert_eq!(max, MAX_SIM_QUBITS)
             }
             other => panic!("expected TooManyQubits, got {other:?}"),
+        }
+    }
+}
+
+#[cfg(test)]
+mod sweep_identity_tests {
+    use super::*;
+    use cqasm::GateKind;
+
+    /// A 4-qubit non-Clifford prefix (so `Auto` keeps it on the state
+    /// vector), closed by `measure_all` or a scrambled measure run.
+    fn rotations(measure_all: bool) -> Program {
+        let mut b = Program::builder(4)
+            .gate(GateKind::H, &[0])
+            .gate(GateKind::T, &[0])
+            .gate(GateKind::Cnot, &[0, 1])
+            .gate(GateKind::Ry(0.7), &[2])
+            .gate(GateKind::Cnot, &[2, 3])
+            .gate(GateKind::H, &[1]);
+        if measure_all {
+            b = b.measure_all();
+        } else {
+            for q in [2, 0, 3, 1] {
+                b = b.measure(q);
+            }
+        }
+        b.build()
+    }
+
+    /// Teleportation-style Clifford circuit with mid-circuit measurement
+    /// and feedback: the tableau's class.
+    fn clifford_feedback() -> Program {
+        Program::builder(3)
+            .gate(GateKind::H, &[0])
+            .gate(GateKind::H, &[1])
+            .gate(GateKind::Cnot, &[1, 2])
+            .gate(GateKind::Cnot, &[0, 1])
+            .gate(GateKind::H, &[0])
+            .measure(0)
+            .measure(1)
+            .cond(1, GateKind::X, &[2])
+            .cond(0, GateKind::Z, &[2])
+            .measure(2)
+            .build()
+    }
+
+    fn ghz(n: usize) -> Program {
+        let mut b = Program::builder(n).gate(GateKind::H, &[0]);
+        for q in 0..n - 1 {
+            b = b.gate(GateKind::Cnot, &[q, q + 1]);
+        }
+        b.measure_all().build()
+    }
+
+    /// 70 fresh coin flips on one qubit: terminally measured Clifford, but
+    /// past the frame layout's 64 random variables.
+    fn many_coins() -> Program {
+        let mut b = Program::builder(2);
+        for _ in 0..70 {
+            b = b.gate(GateKind::H, &[0]).measure(0);
+        }
+        b.measure(1).build()
+    }
+
+    /// Every sweep: `run_shots_planned` at 1, 2 and 3 threads equals an
+    /// out-of-order merge of `run_shot_range` cuts. The 7-shot cut is
+    /// narrower than the 16-entry table, so both table counting modes
+    /// run.
+    #[test]
+    fn every_sweep_is_thread_and_shard_invariant() {
+        let perfect = Simulator::perfect().with_seed(0x5EED);
+        let transmon =
+            Simulator::with_model(QubitModel::real_from_rates(1e-3, 1e-2, 2e-2, 20.0, 20.0))
+                .with_seed(0x5EED);
+        let noisy_density =
+            Simulator::with_model(QubitModel::realistic_depolarizing(0.05, 0.05, 0.1))
+                .with_seed(0x5EED)
+                .with_engine_select(EngineSelect::Density);
+        type Case = (
+            &'static str,
+            Simulator,
+            Program,
+            EngineSelect,
+            fn(&SweepKind) -> bool,
+        );
+        let cases: [Case; 8] = [
+            (
+                "measure_all table",
+                perfect.clone(),
+                rotations(true),
+                EngineSelect::StateVector,
+                |k| matches!(k, SweepKind::Table(_)),
+            ),
+            (
+                "measure-run cascade",
+                perfect.clone(),
+                rotations(false),
+                EngineSelect::StateVector,
+                |k| matches!(k, SweepKind::Cascade(..)),
+            ),
+            (
+                "interpreter, fast path off",
+                perfect.clone().with_sampling_fast_path(false),
+                rotations(true),
+                EngineSelect::StateVector,
+                |k| matches!(k, SweepKind::Interpreter(_)),
+            ),
+            (
+                "noisy transmon interpreter",
+                transmon,
+                rotations(false),
+                EngineSelect::StateVector,
+                |k| matches!(k, SweepKind::Interpreter(_)),
+            ),
+            (
+                "tableau",
+                perfect.clone(),
+                clifford_feedback(),
+                EngineSelect::Tableau,
+                |k| matches!(k, SweepKind::Tableau(..)),
+            ),
+            (
+                "pauli frame",
+                perfect.clone(),
+                ghz(6),
+                EngineSelect::PauliFrame,
+                |k| matches!(k, SweepKind::Frames(_)),
+            ),
+            (
+                "frame -> tableau fallback",
+                perfect,
+                many_coins(),
+                EngineSelect::PauliFrame,
+                |k| matches!(k, SweepKind::Tableau(..)),
+            ),
+            (
+                "density",
+                noisy_density,
+                rotations(false),
+                EngineSelect::Density,
+                |k| matches!(k, SweepKind::Density { .. }),
+            ),
+        ];
+        let shots = 200;
+        for (name, sim, program, engine, expected_kind) in cases {
+            let plan = sim.compile(&program).unwrap();
+            let sweep = sim.prepare(&plan).unwrap();
+            assert_eq!(sweep.engine, engine, "{name}");
+            assert!(expected_kind(&sweep.kind), "{name}: unexpected sweep kind");
+            let whole = sim.run_shots_planned(&plan, shots, 1).unwrap();
+            assert_eq!(whole.shots(), shots, "{name}");
+            for threads in [2, 3] {
+                let split = sim.run_shots_planned(&plan, shots, threads).unwrap();
+                assert_eq!(split, whole, "{name}: {threads} threads");
+            }
+            let mut merged = ShotHistogram::new();
+            for (lo, hi) in [(130, shots), (0, 7), (7, 130)] {
+                merged.merge(&sim.run_shot_range(&plan, lo, hi).unwrap());
+            }
+            assert_eq!(merged, whole, "{name}: shard merge");
+        }
+    }
+
+    /// `run_shot_range` reports a forced engine that cannot run the plan
+    /// instead of silently switching engines.
+    #[test]
+    fn shot_range_reports_forced_engine_mismatch() {
+        let sim = Simulator::perfect().with_engine_select(EngineSelect::PauliFrame);
+        let plan = sim.compile(&rotations(true)).unwrap();
+        assert_eq!(plan.circuit_class(), CircuitClass::General);
+        match sim.run_shot_range(&plan, 0, 10) {
+            Err(ExecuteError::EngineMismatch { engine, .. }) => assert_eq!(engine, "pauli_frame"),
+            other => panic!("expected engine mismatch, got {other:?}"),
         }
     }
 }

@@ -17,6 +17,16 @@
 //! (which reaches ~35 fully-entangled qubits on a laptop): state size is
 //! `2^n` amplitudes.
 //!
+//! Execution has one path: [`Simulator::compile`] lowers a program into a
+//! [`CompiledProgram`], then [`Simulator::run_shots_planned`] runs any
+//! number of shots across any number of threads, and
+//! [`Simulator::run_shot_range`] runs one shard of them. Both resolve the
+//! engine ([`EngineSelect`]: state vector, CHP tableau, Pauli frames, or
+//! the exact density matrix) and prepare its once-per-run work a single
+//! time. [`Simulator::run_shots`] is the compile-and-run shorthand;
+//! [`Simulator::run_once`] and [`Simulator::run_compiled`] return the
+//! final state of a single shot.
+//!
 //! # Example
 //!
 //! ```

@@ -53,6 +53,11 @@ pub enum EngineSelect {
     Tableau,
     /// Force the Pauli-frame sampler. Requires a `CliffordTerminal` plan.
     PauliFrame,
+    /// Run the density-matrix engine: exact channel evolution of a plan
+    /// whose only measurements are terminal, on at most
+    /// [`crate::MAX_DENSITY_QUBITS`] qubits. Agrees with the trajectory
+    /// engines in distribution, not per shot, so `Auto` never picks it.
+    Density,
 }
 
 impl EngineSelect {
@@ -63,6 +68,7 @@ impl EngineSelect {
             EngineSelect::StateVector => "state_vector",
             EngineSelect::Tableau => "tableau",
             EngineSelect::PauliFrame => "pauli_frame",
+            EngineSelect::Density => "density",
         }
     }
 }
@@ -86,8 +92,9 @@ pub(crate) fn apply_clifford(t: &mut Tableau, g: CliffordGate) {
     }
 }
 
+/// Sets or clears bit `index` of a classical register.
 #[inline]
-fn set_bit(bits: &mut u64, index: usize, value: bool) {
+pub(crate) fn set_bit(bits: &mut u64, index: usize, value: bool) {
     if value {
         *bits |= 1 << index;
     } else {

@@ -598,10 +598,7 @@ fn tenant_flood_shutdown(rng: &mut StdRng) -> Option<String> {
     let service = Service::with_config(ServiceConfig {
         workers: rng.gen_range(1..=2),
         queue_capacity: rng.gen_range(8..32),
-        tenants: vec![
-            TenantConfig::new("flood", 1),
-            TenantConfig::new("vip", 4),
-        ],
+        tenants: vec![TenantConfig::new("flood", 1), TenantConfig::new("vip", 4)],
         ..ServiceConfig::default()
     });
     let handle = service.handle();
@@ -620,9 +617,11 @@ fn tenant_flood_shutdown(rng: &mut StdRng) -> Option<String> {
                         // Backpressure and shutdown are the *expected*
                         // typed rejections under flood; anything else is
                         // a scenario failure.
-                        Err(ServiceError::QueueFull { .. }
-                        | ServiceError::TenantQuotaExceeded { .. }
-                        | ServiceError::ShuttingDown) => {}
+                        Err(
+                            ServiceError::QueueFull { .. }
+                            | ServiceError::TenantQuotaExceeded { .. }
+                            | ServiceError::ShuttingDown,
+                        ) => {}
                         Err(other) => return Err(format!("flood submit: {other}")),
                     }
                 }
@@ -752,9 +751,7 @@ fn full_ring_respawn(rng: &mut StdRng) -> Option<String> {
     for _ in 0..(capacity * 6) {
         match handle.submit(base_spec(rng)) {
             Ok(id) => admitted.push(id),
-            Err(ServiceError::QueueFull {
-                capacity: reported,
-            }) => {
+            Err(ServiceError::QueueFull { capacity: reported }) => {
                 if reported != capacity {
                     return Some(format!(
                         "QueueFull reported capacity {reported}, configured {capacity}"

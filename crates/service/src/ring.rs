@@ -154,8 +154,10 @@ impl<T> Ring<T> {
                         // producer's write before this read.
                         let value = unsafe { (*slot.value.get()).assume_init_read() };
                         // Free the slot for the producer one lap ahead.
-                        slot.stamp
-                            .store(ticket.wrapping_add(self.mask).wrapping_add(1), Ordering::Release);
+                        slot.stamp.store(
+                            ticket.wrapping_add(self.mask).wrapping_add(1),
+                            Ordering::Release,
+                        );
                         return Some(value);
                     }
                     Err(current) => ticket = current,

@@ -662,7 +662,10 @@ impl Service {
                     .shared
                     .telemetry
                     .incr("service.snapshot.saved_entries", n as u64),
-                Err(_) => self.shared.telemetry.incr("service.snapshot.save_failed", 1),
+                Err(_) => self
+                    .shared
+                    .telemetry
+                    .incr("service.snapshot.save_failed", 1),
             }
         }
         self.shared.job_done.notify_all();
@@ -916,7 +919,9 @@ impl ServiceHandle {
         state.totals.cancelled += 1;
         drop(state);
         self.shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-        self.shared.lanes[lane].queued.fetch_sub(1, Ordering::SeqCst);
+        self.shared.lanes[lane]
+            .queued
+            .fetch_sub(1, Ordering::SeqCst);
         self.shared.telemetry.incr("service.jobs.cancelled", 1);
         if self.shared.telemetry.is_enabled() {
             let prio = priority.to_string();
@@ -1669,55 +1674,57 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
     // that is exact for the plan's circuit class; `force_engine` pins
     // one, and a pinned engine that cannot run the plan is a typed,
     // non-transient failure (pre-flighted here so sharded sweeps fail
-    // the same way unsharded ones do). Large sweeps shard across the
-    // pool regardless of which sweep engine runs them.
-    let select = match spec.force_engine {
-        None | Some(Engine::DensityMatrix) => qxsim::EngineSelect::Auto,
-        Some(Engine::StateVector) => qxsim::EngineSelect::StateVector,
-        Some(Engine::Tableau) => qxsim::EngineSelect::Tableau,
-        Some(Engine::PauliFrame) => qxsim::EngineSelect::PauliFrame,
+    // the same way unsharded ones do). Density jobs run on the density
+    // engine whichever field asks for it.
+    let select = match (spec.engine, spec.force_engine) {
+        (Engine::DensityMatrix, _) | (_, Some(Engine::DensityMatrix)) => {
+            qxsim::EngineSelect::Density
+        }
+        (_, None) => qxsim::EngineSelect::Auto,
+        (_, Some(Engine::StateVector)) => qxsim::EngineSelect::StateVector,
+        (_, Some(Engine::Tableau)) => qxsim::EngineSelect::Tableau,
+        (_, Some(Engine::PauliFrame)) => qxsim::EngineSelect::PauliFrame,
     };
     let sim = Simulator::with_model(spec.qubits.to_model())
         .with_seed(spec.seed)
         .with_engine_select(select);
-    let density =
-        spec.engine == Engine::DensityMatrix || spec.force_engine == Some(Engine::DensityMatrix);
     let class = artifact.plan.circuit_class().name();
     let exec_started = Instant::now();
-    let engine = if density {
-        "density"
-    } else {
-        match sim.plan_engine(&artifact.plan) {
-            Ok(resolved) => resolved.name(),
-            Err(e) => {
-                settle_batch(
-                    shared,
-                    &claim.batch,
-                    Err(execute_failure(&e)),
-                    ExecMeta {
-                        cache_hit,
-                        compile_us,
-                        shards: 1,
-                        started_at: claim.started_at,
-                        exec_started,
-                        engine: "none",
-                        class,
-                    },
-                );
-                return RunOutcome::Finished;
-            }
+    let engine = match sim.plan_engine(&artifact.plan) {
+        Ok(resolved) => resolved.name(),
+        Err(e) => {
+            settle_batch(
+                shared,
+                &claim.batch,
+                Err(execute_failure(&e)),
+                ExecMeta {
+                    cache_hit,
+                    compile_us,
+                    shards: 1,
+                    started_at: claim.started_at,
+                    exec_started,
+                    engine: "none",
+                    class,
+                },
+            );
+            return RunOutcome::Finished;
         }
     };
     shared.telemetry.incr_labeled("service.engine", engine, 1);
-    let shards =
-        if !density && shared.config.workers > 1 && spec.shots >= shared.config.shard_min_shots {
-            shared.config.workers.min(
-                usize::try_from(spec.shots / shared.config.shard_min_shots.max(1)).unwrap_or(1),
-            )
-        } else {
-            1
-        }
-        .max(1);
+    // Large sweeps shard across the pool, except density sweeps: every
+    // shard would redo the full density evolution.
+    let shards = if select != qxsim::EngineSelect::Density
+        && shared.config.workers > 1
+        && spec.shots >= shared.config.shard_min_shots
+    {
+        shared
+            .config
+            .workers
+            .min(usize::try_from(spec.shots / shared.config.shard_min_shots.max(1)).unwrap_or(1))
+    } else {
+        1
+    }
+    .max(1);
     if shards > 1 {
         let task = Arc::new(ShardTask {
             sim,
@@ -1770,12 +1777,9 @@ fn run_claim(shared: &Shared, claim: &Claim) -> RunOutcome {
             hi: spec.shots / shards as u64,
         };
     }
-    let result = if density {
-        sim.run_density_planned(&artifact.plan, spec.shots)
-    } else {
-        sim.run_shots_planned(&artifact.plan, spec.shots, 1)
-    }
-    .map_err(|e| execute_failure(&e));
+    let result = sim
+        .run_shots_planned(&artifact.plan, spec.shots, 1)
+        .map_err(|e| execute_failure(&e));
     settle_batch(
         shared,
         &claim.batch,
@@ -1852,7 +1856,7 @@ fn shard_step(shared: &Shared, task: &Arc<ShardTask>, lo: u64, hi: u64) -> StepO
     }));
     match run {
         Ok(part) => {
-            shard_done(shared, task, Ok(part));
+            shard_done(shared, task, part.map_err(|e| execute_failure(&e)));
             StepOutcome::Done
         }
         Err(payload) => {

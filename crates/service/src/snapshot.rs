@@ -95,11 +95,17 @@ impl fmt::Display for SnapshotError {
         match self {
             SnapshotError::Io(m) => write!(f, "snapshot io: {m}"),
             SnapshotError::Truncated { expected, found } => {
-                write!(f, "snapshot truncated: need {expected} bytes, found {found}")
+                write!(
+                    f,
+                    "snapshot truncated: need {expected} bytes, found {found}"
+                )
             }
             SnapshotError::BadMagic => write!(f, "snapshot has wrong magic bytes"),
             SnapshotError::UnsupportedVersion { found, supported } => {
-                write!(f, "snapshot version {found} unsupported (this build reads {supported})")
+                write!(
+                    f,
+                    "snapshot version {found} unsupported (this build reads {supported})"
+                )
             }
             SnapshotError::ChecksumMismatch => write!(f, "snapshot checksum mismatch"),
             SnapshotError::EntryCorrupt { index, reason } => {
@@ -153,9 +159,8 @@ pub fn snapshot_representable(qubits: &QubitKind) -> bool {
 /// trailing checksum). Entries whose model is not
 /// [`snapshot_representable`] must be filtered by the caller.
 pub fn encode_snapshot(entries: &[SnapshotEntry]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(
-        12 + 8 + entries.iter().map(|e| 13 + e.source.len()).sum::<usize>(),
-    );
+    let mut out =
+        Vec::with_capacity(12 + 8 + entries.iter().map(|e| 13 + e.source.len()).sum::<usize>());
     out.extend_from_slice(&SNAPSHOT_MAGIC);
     out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
     out.extend_from_slice(&(entries.len() as u32).to_le_bytes());
@@ -263,7 +268,11 @@ pub fn decode_snapshot(bytes: &[u8]) -> Result<Vec<SnapshotEntry>, SnapshotError
                 reason: format!("source is not UTF-8: {e}"),
             })?
             .to_string();
-        entries.push(SnapshotEntry { key, qubits, source });
+        entries.push(SnapshotEntry {
+            key,
+            qubits,
+            source,
+        });
         at = end;
     }
     if at != body_len {
@@ -301,8 +310,8 @@ pub fn write_snapshot(path: &Path, entries: &[SnapshotEntry]) -> Result<usize, S
 /// [`SnapshotError::Io`] if the file cannot be read, otherwise any
 /// [`decode_snapshot`] error.
 pub fn read_snapshot(path: &Path) -> Result<Vec<SnapshotEntry>, SnapshotError> {
-    let bytes = std::fs::read(path)
-        .map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
+    let bytes =
+        std::fs::read(path).map_err(|e| SnapshotError::Io(format!("{}: {e}", path.display())))?;
     decode_snapshot(&bytes)
 }
 
@@ -370,7 +379,10 @@ mod tests {
     fn wrong_magic_and_version_are_typed() {
         let mut bytes = encode_snapshot(&sample_entries());
         bytes[0] = b'X';
-        assert_eq!(decode_snapshot(&bytes).unwrap_err(), SnapshotError::BadMagic);
+        assert_eq!(
+            decode_snapshot(&bytes).unwrap_err(),
+            SnapshotError::BadMagic
+        );
 
         // A future version with a valid checksum must be rejected as
         // version skew, not corruption.
@@ -392,10 +404,8 @@ mod tests {
 
     #[test]
     fn write_and_read_through_a_file() {
-        let path = std::env::temp_dir().join(format!(
-            "qca-snapshot-test-{}.bin",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("qca-snapshot-test-{}.bin", std::process::id()));
         let entries = sample_entries();
         assert_eq!(write_snapshot(&path, &entries).unwrap(), 2);
         assert_eq!(read_snapshot(&path).unwrap(), entries);

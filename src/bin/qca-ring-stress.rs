@@ -72,12 +72,10 @@ fn parse_args() -> Result<Args, String> {
                 );
             }
             "--fail-file" => args.fail_file = Some(take("--fail-file")?),
-            "--help" | "-h" => {
-                return Err(
-                    "usage: qca-ring-stress [--seed N] [--cases N] [--replay SEED] [--fail-file PATH]"
-                        .to_string(),
-                )
-            }
+            "--help" | "-h" => return Err(
+                "usage: qca-ring-stress [--seed N] [--cases N] [--replay SEED] [--fail-file PATH]"
+                    .to_string(),
+            ),
             other => return Err(format!("unknown flag {other:?} (try --help)")),
         }
     }
@@ -198,15 +196,14 @@ fn ring_case(rng: &mut StdRng) -> Option<String> {
             seen[p * per_producer + seq as usize] += 1;
         }
     }
-    match seen.iter().position(|&n| n != 1) {
-        None => None,
-        Some(slot) => Some(format!(
+    seen.iter().position(|&n| n != 1).map(|slot| {
+        format!(
             "item {}/{} popped {} times (want exactly 1)",
             slot / per_producer,
             slot % per_producer,
             seen[slot]
-        )),
-    }
+        )
+    })
 }
 
 /// A fully-backlogged DRR queue must hand each lane exactly its weight
@@ -358,7 +355,8 @@ fn main() -> ExitCode {
             for (seed, msg) in &failing {
                 out.push_str(&format!("{seed}\t{msg}\n"));
             }
-            if let Err(e) = std::fs::File::create(path).and_then(|mut f| f.write_all(out.as_bytes()))
+            if let Err(e) =
+                std::fs::File::create(path).and_then(|mut f| f.write_all(out.as_bytes()))
             {
                 eprintln!("qca-ring-stress: cannot write {path}: {e}");
             } else {

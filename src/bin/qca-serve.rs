@@ -291,9 +291,7 @@ fn smoke_test(service: &Service, tcp_config: TcpConfig) -> ExitCode {
         }
         .ok_or_else(|| format!("no tenants array in stats: {stats:?}"))?;
         if tenant_submitted < 3.0 {
-            return Err(format!(
-                "default tenant missed submissions: {stats:?}"
-            ));
+            return Err(format!("default tenant missed submissions: {stats:?}"));
         }
         println!("smoke: 3 jobs served over TCP, {hits} cache hit(s)");
 

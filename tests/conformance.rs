@@ -14,7 +14,7 @@ use cqasm::Program;
 use openql::{Compiler, CompilerOptions, Platform};
 use qca_core::conform::{generate_case, reference_histogram, run_campaign, CaseShape};
 use qca_service::{JobSpec, Service, ServiceConfig};
-use qxsim::{ShotHistogram, Simulator};
+use qxsim::{EngineSelect, ShotHistogram, Simulator};
 use std::time::Duration;
 
 /// The headline campaign: 200 seeded cases through every engine.
@@ -161,9 +161,11 @@ fn density_engine_matches_state_vector_statistics_on_bell_and_ghz() {
     for (name, src) in cases {
         let program = Program::parse(src).expect("parse");
         let expected = exact_distribution(&program);
-        let sim = Simulator::perfect().with_seed(0xD0_5E_ED);
+        let sim = Simulator::perfect()
+            .with_seed(0xD0_5E_ED)
+            .with_engine_select(EngineSelect::Density);
         let plan = sim.compile(&program).expect("compile");
-        let hist = sim.run_density_planned(&plan, SHOTS).expect("density run");
+        let hist = sim.run_shots_planned(&plan, SHOTS, 1).expect("density run");
         let tv = total_variation(&hist, &expected, SHOTS);
         assert!(
             tv < 0.05,

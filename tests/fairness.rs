@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use qca_service::chaos::{self, Scenario};
-use qca_service::{
-    DrrQueue, JobSpec, Service, ServiceConfig, ServiceError, TenantConfig,
-};
+use qca_service::{DrrQueue, JobSpec, Service, ServiceConfig, ServiceError, TenantConfig};
 use std::cmp::Reverse;
 use std::time::Duration;
 
@@ -71,7 +69,10 @@ fn drr_idle_lanes_forfeit_credit_instead_of_banking_it() {
             lane0 += 1;
         }
     }
-    assert_eq!(lane0, 9, "a late-filling lane gets its weight, not its arrears");
+    assert_eq!(
+        lane0, 9,
+        "a late-filling lane gets its weight, not its arrears"
+    );
 }
 
 proptest! {
@@ -119,10 +120,7 @@ fn a_flooding_tenant_cannot_starve_a_light_one() {
     let service = Service::with_config(ServiceConfig {
         workers: 1,
         queue_capacity: 256,
-        tenants: vec![
-            TenantConfig::new("flood", 1),
-            TenantConfig::new("vip", 4),
-        ],
+        tenants: vec![TenantConfig::new("flood", 1), TenantConfig::new("vip", 4)],
         ..ServiceConfig::default()
     });
     let handle = service.handle();

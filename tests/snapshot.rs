@@ -6,9 +6,7 @@
 
 use proptest::prelude::*;
 use qca_core::QubitKind;
-use qca_service::snapshot::{
-    decode_snapshot, encode_snapshot, SnapshotEntry, SNAPSHOT_VERSION,
-};
+use qca_service::snapshot::{decode_snapshot, encode_snapshot, SnapshotEntry, SNAPSHOT_VERSION};
 use qca_service::{JobSpec, Service, ServiceConfig, SnapshotError};
 use qca_telemetry::Telemetry;
 use std::path::PathBuf;
@@ -248,7 +246,7 @@ proptest! {
 
     /// Raw random bytes — no valid scaffold at all — also never panic.
     #[test]
-    fn random_bytes_never_panic_the_decoder(bytes in proptest::collection::vec((0u8..=255), 0..400)) {
+    fn random_bytes_never_panic_the_decoder(bytes in proptest::collection::vec(0u8..=255, 0..400)) {
         match decode_snapshot(&bytes) {
             Ok(_) => {}
             Err(e) => {

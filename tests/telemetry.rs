@@ -103,9 +103,8 @@ fn counters_are_bit_identical_across_thread_counts() {
             .with_engine_select(EngineSelect::StateVector)
             .with_sampling_fast_path(false)
             .with_telemetry(telemetry.clone());
-        let hist = sim
-            .run_shots_parallel(&program, 600, threads)
-            .expect("runs");
+        let plan = sim.compile(&program).expect("compiles");
+        let hist = sim.run_shots_planned(&plan, 600, threads).expect("runs");
         reports.push((hist, telemetry.counters_json()));
     }
     let (hist0, counters0) = &reports[0];
