@@ -60,9 +60,9 @@ pub enum Scenario {
     MalformedFrame,
     /// A client submits and vanishes; the job still completes.
     ClientDisconnect,
-    /// Tenant flooders hammer the admission rings while another thread
-    /// calls `shutdown_now`: every accepted job settles typed, every
-    /// rejection is typed backpressure — nothing is stranded in a ring.
+    /// Tenant flooders hammer admission while another thread calls
+    /// `shutdown_now`: every accepted job settles typed, every rejection
+    /// is typed backpressure — nothing admitted is stranded.
     TenantFloodShutdown,
     /// A manual cache-snapshot save races `shutdown_now`'s own save; the
     /// file that survives is either loadable or a typed decode error on
@@ -71,7 +71,7 @@ pub enum Scenario {
     /// Admission into a full queue while the pool respawns a panicked
     /// worker: overflow draws typed `QueueFull`, everything admitted
     /// settles, and the pool heals.
-    FullRingRespawn,
+    FullQueueRespawn,
 }
 
 /// All scenarios, in the order the campaign cycles through them.
@@ -87,7 +87,7 @@ pub const SCENARIOS: [Scenario; 12] = [
     Scenario::ClientDisconnect,
     Scenario::TenantFloodShutdown,
     Scenario::SnapshotShutdownRace,
-    Scenario::FullRingRespawn,
+    Scenario::FullQueueRespawn,
 ];
 
 /// One case's verdict.
@@ -159,7 +159,7 @@ pub fn run_case(seed: u64) -> CaseReport {
         Scenario::ClientDisconnect => client_disconnect(&mut rng),
         Scenario::TenantFloodShutdown => tenant_flood_shutdown(&mut rng),
         Scenario::SnapshotShutdownRace => snapshot_shutdown_race(&mut rng, seed),
-        Scenario::FullRingRespawn => full_ring_respawn(&mut rng),
+        Scenario::FullQueueRespawn => full_queue_respawn(&mut rng),
     };
     CaseReport {
         seed,
@@ -602,7 +602,7 @@ fn tenant_flood_shutdown(rng: &mut StdRng) -> Option<String> {
         ..ServiceConfig::default()
     });
     let handle = service.handle();
-    // Two flooder threads hammer the "flood" ring while the main thread
+    // Two flooder threads hammer the "flood" lane while the main thread
     // mixes in vip work and then yanks the service down mid-flood.
     let flooders: Vec<_> = (0..2)
         .map(|t| {
@@ -647,15 +647,14 @@ fn tenant_flood_shutdown(rng: &mut StdRng) -> Option<String> {
             Err(_) => return Some("flooder thread panicked".to_string()),
         }
     }
-    // Every accepted ticket must be terminal — a job stranded inside a
-    // ring (admitted but never failed by the shutdown sweep) times out
-    // here and fails the case.
+    // Every accepted ticket must be terminal — a job admitted but never
+    // failed by the shutdown sweep times out here and fails the case.
     for id in admitted {
         match handle.wait(id, Duration::from_secs(5)) {
             Ok(_) => {}
             Err(ServiceError::ShuttingDown | ServiceError::WorkerPanic { .. }) => {}
             Err(ServiceError::WaitTimeout) => {
-                return Some(format!("job {} stranded in a ring by shutdown", id.0));
+                return Some(format!("job {} stranded by shutdown", id.0));
             }
             Err(other) => return Some(format!("unexpected terminal state: {other}")),
         }
@@ -722,7 +721,7 @@ fn snapshot_shutdown_race(rng: &mut StdRng, seed: u64) -> Option<String> {
     verdict.err()
 }
 
-fn full_ring_respawn(rng: &mut StdRng) -> Option<String> {
+fn full_queue_respawn(rng: &mut StdRng) -> Option<String> {
     let capacity = rng.gen_range(2..5);
     let service = Service::with_config(ServiceConfig {
         workers: 1,
@@ -731,7 +730,7 @@ fn full_ring_respawn(rng: &mut StdRng) -> Option<String> {
     });
     let handle = service.handle();
     // The pin panics once and retries: the single worker dies and the
-    // supervisor respawns it while the flood below slams the full ring.
+    // supervisor respawns it while the flood below slams the full queue.
     let pin = base_spec(rng)
         .with_faults(JobFaults {
             panic_attempts: 1,

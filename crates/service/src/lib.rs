@@ -7,8 +7,8 @@
 //! - **Content-addressed plan cache** ([`PlanCache`]): compiled artifacts
 //!   keyed by FNV-1a over (canonical cQASM, platform, compiler options,
 //!   qubit model); repeat submissions skip compilation entirely.
-//! - **Job scheduler** ([`Service`]): bounded lock-free admission with
-//!   priorities, per-job deadlines, cancellation and typed backpressure;
+//! - **Job scheduler** ([`Service`]): bounded admission with priorities,
+//!   per-job deadlines, cancellation and typed backpressure;
 //!   identical queued jobs coalesce into one execution, and a per-tenant
 //!   deficit-round-robin dequeue ([`tenant`]) keeps adversarial clients
 //!   from starving each other.
@@ -20,12 +20,11 @@
 //!   newline-delimited-JSON TCP server ([`TcpServer`], the `qca-serve`
 //!   binary).
 //!
-//! Std-only by design: no async runtime, no serde — admission is a
-//! lock-free MPMC ring ([`ring`]) per tenant (the scheduler's `Mutex` +
-//! `Condvar` remain only for worker parking and settlement), the wire
-//! format reuses `qca_telemetry`'s JSON, and the plan cache can persist
-//! itself to a checksummed on-disk snapshot ([`snapshot`]) for instant
-//! warm starts.
+//! Std-only by design: no async runtime, no serde — one scheduler
+//! `Mutex` + `Condvar` covers admission, dequeue, worker parking and
+//! settlement, the wire format reuses `qca_telemetry`'s JSON, and the
+//! plan cache can persist itself to a checksummed on-disk snapshot
+//! ([`snapshot`]) for instant warm starts.
 //!
 //! ```
 //! use qca_service::{JobSpec, Service};
@@ -48,7 +47,6 @@ pub mod cache;
 pub mod chaos;
 pub mod hash;
 pub mod job;
-pub mod ring;
 pub mod service;
 pub mod snapshot;
 pub mod tcp;
@@ -61,7 +59,6 @@ pub use job::{
     Engine, JobFaults, JobId, JobLifecycle, JobOutcome, JobSpec, JobStatus, RetryPolicy,
     ServiceError,
 };
-pub use ring::Ring;
 pub use service::{
     LatencySummary, PlatformSpec, Service, ServiceConfig, ServiceHandle, ServiceStats, TcpStats,
     TenantStat,

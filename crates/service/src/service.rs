@@ -3,17 +3,16 @@
 //!
 //! # Scheduling model
 //!
-//! Submission parses and content-hashes the circuit, then admits the job
-//! through a *lock-free* path: capacity and per-tenant quota are
-//! reserved with atomic counters (a full queue rejects with
-//! [`ServiceError::QueueFull`], an exhausted tenant with
-//! [`ServiceError::TenantQuotaExceeded`] — backpressure, not buffering)
-//! and the job is pushed into its tenant's bounded MPMC ring
-//! ([`crate::ring::Ring`]) without ever touching the scheduler mutex.
-//! Workers drain the rings into per-tenant priority heaps (higher
-//! priority first, FIFO within a priority) and dequeue across tenants
-//! with a deficit-round-robin picker ([`crate::tenant::DrrQueue`]), so
-//! no client can starve another. Worker threads then:
+//! Submission parses and content-hashes the circuit outside the
+//! scheduler lock, then admits the job in one critical section: it
+//! checks shutdown, global capacity and the tenant quota (a full queue
+//! rejects with [`ServiceError::QueueFull`], an exhausted tenant with
+//! [`ServiceError::TenantQuotaExceeded`] — backpressure, not buffering),
+//! files the job record and pushes the job onto its tenant's priority
+//! heap (higher priority first, FIFO within a priority). Workers dequeue
+//! across tenants with a deficit-round-robin picker
+//! ([`crate::tenant::DrrQueue`]), so no client can starve another.
+//! Worker threads then:
 //!
 //! 1. **Coalesce** — every still-queued job with the same execution key
 //!    (circuit hash + seed + shots + engine + model) is batched and served
@@ -34,7 +33,6 @@
 use crate::cache::{artifact_key, CacheStats, CompiledArtifact, PlanCache};
 use crate::hash::Fnv64;
 use crate::job::{Engine, JobId, JobLifecycle, JobOutcome, JobSpec, JobStatus, ServiceError};
-use crate::ring::Ring;
 use crate::snapshot::{self, SnapshotError, SnapshotReport};
 use crate::tenant::{DrrQueue, TenantConfig};
 use openql::{Compiler, CompilerOptions, Platform};
@@ -43,7 +41,7 @@ use qxsim::{ExecuteError, ShotHistogram, Simulator};
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::{Duration, Instant};
 
@@ -227,6 +225,8 @@ pub struct ServiceStats {
 
 #[derive(Debug, Default, Clone, Copy)]
 struct Totals {
+    submitted: u64,
+    rejected: u64,
     completed: u64,
     failed: u64,
     cancelled: u64,
@@ -353,8 +353,16 @@ struct SchedState {
     jobs: HashMap<u64, JobRecord>,
     /// Execution key → still-queued job ids, for coalescing.
     pending: HashMap<u64, Vec<u64>>,
+    next_id: u64,
     next_seq: u64,
+    /// Jobs queued across all tenants (admitted or requeued for retry,
+    /// not yet claimed, cancelled or failed).
+    queued: usize,
+    /// Per-tenant counters, indexed like `Shared::lanes`.
+    lane_counts: Vec<LaneCounts>,
     running: usize,
+    /// Workers currently parked in `work_ready.wait`.
+    sleepers: usize,
     /// Worker threads currently alive (spawn-accounted, exit-decremented).
     live_workers: usize,
     /// Remaining supervision budget for respawning crashed workers.
@@ -371,28 +379,15 @@ struct SchedState {
     lat_e2e: LogHistogram,
 }
 
-/// A job travelling from the lock-free admission path to the scheduler:
-/// everything `drain_admissions` needs to file it under the lock.
-struct AdmitMsg {
-    id: u64,
-    priority: u8,
-    record: JobRecord,
-}
-
-/// One tenant's admission lane: the lock-free ring submissions land in,
-/// plus quota state and counters (all atomics — the submit path never
-/// takes the scheduler lock).
-struct TenantLane {
-    name: String,
-    weight: u32,
-    quota: Option<usize>,
-    ring: Ring<AdmitMsg>,
-    /// Jobs this tenant currently has queued (reserved at submit,
-    /// released at claim/cancel/expiry, re-reserved on retry).
-    queued: AtomicUsize,
-    submitted: AtomicU64,
-    completed: AtomicU64,
-    shed: AtomicU64,
+/// One tenant lane's counters.
+#[derive(Debug, Default, Clone, Copy)]
+struct LaneCounts {
+    /// Jobs this tenant currently has queued (counted at admission,
+    /// released at claim/cancel/expiry, counted again on retry).
+    queued: usize,
+    submitted: u64,
+    completed: u64,
+    shed: u64,
 }
 
 struct Shared {
@@ -402,25 +397,13 @@ struct Shared {
     cache: PlanCache,
     config: ServiceConfig,
     telemetry: Telemetry,
-    /// Tenant admission lanes, in DRR order. The `"default"` lane always
-    /// exists.
-    lanes: Vec<TenantLane>,
+    /// Tenant lanes (weight clamped to at least 1), in DRR order. The
+    /// `"default"` lane always exists.
+    lanes: Vec<TenantConfig>,
     /// Tenant name → lane index.
     lane_index: HashMap<String, usize>,
     /// Lane for jobs naming no tenant (or an unknown one).
     default_lane: usize,
-    /// Ticket allocator for the lock-free submit path.
-    next_id: AtomicU64,
-    /// Jobs queued across all tenants — the global-capacity reservation
-    /// counter on the submit path.
-    queued_total: AtomicUsize,
-    submitted_total: AtomicU64,
-    rejected_total: AtomicU64,
-    /// Mirrors `SchedState::shutdown` for the lock-free submit path.
-    shutdown_flag: AtomicBool,
-    /// Workers currently parked in `work_ready.wait` — submit only
-    /// bounces on the mutex to notify when someone is actually asleep.
-    sleepers: AtomicUsize,
     /// What the warm start from `config.snapshot_path` accomplished:
     /// `None` when persistence is off or no snapshot file existed.
     warm: Option<Result<SnapshotReport, SnapshotError>>,
@@ -452,15 +435,22 @@ impl Shared {
         }
     }
 
-    /// Wakes one parked worker if any are parked. The lock bounce before
-    /// `notify_one` closes the race where a worker registered as a
-    /// sleeper but has not yet reached `wait` — acquiring the mutex
-    /// orders this notify after the sleeper releases it inside `wait`.
-    fn wake_one(&self) {
-        if self.sleepers.load(Ordering::SeqCst) > 0 {
-            drop(self.lock());
-            self.work_ready.notify_one();
+    /// Why a submission to `lane` must be refused right now, if it must.
+    fn refusal(&self, state: &SchedState, lane: usize) -> Option<ServiceError> {
+        if state.shutdown {
+            return Some(ServiceError::ShuttingDown);
         }
+        if state.queued >= self.config.queue_capacity {
+            return Some(ServiceError::QueueFull {
+                capacity: self.config.queue_capacity,
+            });
+        }
+        let tenant = &self.lanes[lane];
+        let quota = tenant.quota?;
+        (state.lane_counts[lane].queued >= quota).then(|| ServiceError::TenantQuotaExceeded {
+            tenant: tenant.name.clone(),
+            quota,
+        })
     }
 }
 
@@ -521,27 +511,14 @@ impl Service {
             tenant_cfgs.push(TenantConfig::new("default", 1));
         }
         let mut lane_index = HashMap::new();
-        let lanes: Vec<TenantLane> = tenant_cfgs
-            .iter()
+        let lanes: Vec<TenantConfig> = tenant_cfgs
+            .into_iter()
             .enumerate()
             .map(|(i, t)| {
                 lane_index.entry(t.name.clone()).or_insert(i);
-                // Quota and global capacity bound the jobs outstanding in
-                // a lane's ring, so a ring this size can never overflow.
-                let ring_cap = t
-                    .quota
-                    .unwrap_or(config.queue_capacity)
-                    .min(config.queue_capacity)
-                    .max(1);
-                TenantLane {
-                    name: t.name.clone(),
+                TenantConfig {
                     weight: t.weight.max(1),
-                    quota: t.quota,
-                    ring: Ring::with_capacity(ring_cap),
-                    queued: AtomicUsize::new(0),
-                    submitted: AtomicU64::new(0),
-                    completed: AtomicU64::new(0),
-                    shed: AtomicU64::new(0),
+                    ..t
                 }
             })
             .collect();
@@ -562,8 +539,12 @@ impl Service {
                 delayed: Vec::new(),
                 jobs: HashMap::new(),
                 pending: HashMap::new(),
+                next_id: 1,
                 next_seq: 0,
+                queued: 0,
+                lane_counts: vec![LaneCounts::default(); lanes.len()],
                 running: 0,
+                sleepers: 0,
                 live_workers: 0,
                 respawns_left: max_respawns,
                 shutdown: false,
@@ -581,12 +562,6 @@ impl Service {
             lanes,
             lane_index,
             default_lane,
-            next_id: AtomicU64::new(1),
-            queued_total: AtomicUsize::new(0),
-            submitted_total: AtomicU64::new(0),
-            rejected_total: AtomicU64::new(0),
-            shutdown_flag: AtomicBool::new(false),
-            sleepers: AtomicUsize::new(0),
             warm,
             epoch: Instant::now(),
             tcp_shed: AtomicU64::new(0),
@@ -629,11 +604,7 @@ impl Service {
     }
 
     fn stop_and_join(&mut self) {
-        {
-            let mut state = self.shared.lock();
-            state.shutdown = true;
-            self.shared.shutdown_flag.store(true, Ordering::SeqCst);
-        }
+        self.shared.lock().shutdown = true;
         self.shared.work_ready.notify_all();
         // Join until the pool is empty; a respawned worker registers its
         // handle before its predecessor exits, so looping to exhaustion
@@ -652,9 +623,9 @@ impl Service {
                 }
             }
         }
-        // Final sweep: a submission racing shutdown can land in a ring
-        // after the last worker's final drain. Fail it typed rather than
-        // strand its waiter.
+        // Final sweep: shards a worker queued and then panicked out of
+        // while its last sibling was already exiting have no worker left.
+        // Fail them typed rather than strand their waiters.
         fail_queued_jobs(&self.shared, &ServiceError::ShuttingDown);
         if let Some(path) = self.shared.config.snapshot_path.clone() {
             match save_snapshot_to(&self.shared, &path) {
@@ -679,10 +650,9 @@ impl Drop for Service {
 }
 
 impl ServiceHandle {
-    /// Submits a job: parses and content-hashes the circuit, reserves
-    /// capacity and tenant quota with atomic counters, and pushes the
-    /// job into its tenant's lock-free admission ring — the scheduler
-    /// mutex is never taken on this path.
+    /// Submits a job: parses and content-hashes the circuit, then, in
+    /// one scheduler-lock critical section, checks shutdown, capacity and
+    /// the tenant quota, files the job and queues it on its tenant's lane.
     ///
     /// # Errors
     ///
@@ -717,42 +687,12 @@ impl ServiceHandle {
             h.write(&spec.faults.fail_attempts.to_le_bytes());
             h.finish()
         };
-        if shared.shutdown_flag.load(Ordering::SeqCst) {
-            shared.telemetry.incr("service.jobs.rejected", 1);
-            return Err(ServiceError::ShuttingDown);
-        }
-        let lane_idx = spec
+        let lane = spec
             .tenant
             .as_deref()
             .and_then(|name| shared.lane_index.get(name))
             .copied()
             .unwrap_or(shared.default_lane);
-        let lane = &shared.lanes[lane_idx];
-        // Reserve global capacity, then the tenant quota; undo on
-        // failure. fetch_add-then-check makes concurrent submits race
-        // safely: the loser sees the counter over the limit and backs
-        // out its own reservation.
-        let prev = shared.queued_total.fetch_add(1, Ordering::SeqCst);
-        if prev >= shared.config.queue_capacity {
-            shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-            self.count_shed(lane);
-            return Err(ServiceError::QueueFull {
-                capacity: shared.config.queue_capacity,
-            });
-        }
-        let tenant_prev = lane.queued.fetch_add(1, Ordering::SeqCst);
-        if let Some(quota) = lane.quota {
-            if tenant_prev >= quota {
-                lane.queued.fetch_sub(1, Ordering::SeqCst);
-                shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-                self.count_shed(lane);
-                return Err(ServiceError::TenantQuotaExceeded {
-                    tenant: lane.name.clone(),
-                    quota,
-                });
-            }
-        }
-        let id = shared.next_id.fetch_add(1, Ordering::SeqCst);
         let priority = spec.priority;
         // Deterministic 1-in-N trace sampling by content hash: the same
         // jobs of a seeded workload are traced on every run.
@@ -764,7 +704,7 @@ impl ServiceHandle {
             platform,
             artifact_key: akey,
             exec_key,
-            lane: lane_idx,
+            lane,
             submitted_at: Instant::now(),
             status: JobStatus::Queued,
             attempts: 0,
@@ -774,59 +714,61 @@ impl ServiceHandle {
             exec_started_at: None,
             settled_at: None,
         };
-        if lane
-            .ring
-            .push(AdmitMsg {
-                id,
-                priority,
-                record,
-            })
-            .is_err()
-        {
-            // Unreachable in practice: the reservations above bound the
-            // jobs outstanding in this ring below its capacity. Kept as
-            // typed backpressure rather than an assertion.
-            lane.queued.fetch_sub(1, Ordering::SeqCst);
-            shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-            self.count_shed(lane);
-            return Err(ServiceError::QueueFull {
-                capacity: shared.config.queue_capacity,
-            });
+        let tenant = &shared.lanes[lane].name;
+        let mut guard = shared.lock();
+        let state = &mut *guard;
+        if let Some(err) = shared.refusal(state, lane) {
+            // Backpressure is counted as a shed; a shutdown refusal is not.
+            let shed = !matches!(err, ServiceError::ShuttingDown);
+            if shed {
+                state.totals.rejected += 1;
+                state.lane_counts[lane].shed += 1;
+            }
+            drop(guard);
+            shared.telemetry.incr("service.jobs.rejected", 1);
+            if shed && shared.telemetry.is_enabled() {
+                shared
+                    .telemetry
+                    .incr_labeled("service.tenant.shed", tenant, 1);
+            }
+            return Err(err);
         }
-        shared.submitted_total.fetch_add(1, Ordering::SeqCst);
-        lane.submitted.fetch_add(1, Ordering::SeqCst);
+        let id = state.next_id;
+        state.next_id += 1;
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        state.queued += 1;
+        state.totals.submitted += 1;
+        state.lane_counts[lane].queued += 1;
+        state.lane_counts[lane].submitted += 1;
+        state.pending.entry(exec_key).or_default().push(id);
+        state.jobs.insert(id, record);
+        state.ready.push(
+            lane,
+            QueueEntry {
+                priority,
+                seq,
+                item: Item::Lead(JobId(id)),
+            },
+        );
+        let depth = state.queued;
+        let wake = state.sleepers > 0;
+        drop(guard);
+        // A parked worker registered as a sleeper and entered `wait`
+        // under the lock this submit just held, so this notify reaches it.
+        if wake {
+            shared.work_ready.notify_one();
+        }
         shared.telemetry.incr("service.jobs.submitted", 1);
         if shared.telemetry.is_enabled() {
             shared
                 .telemetry
-                .incr_labeled("service.tenant.submitted", &lane.name, 1);
-            shared.telemetry.record_value(
-                "service.queue.depth",
-                shared.queued_total.load(Ordering::SeqCst) as f64,
-            );
-        }
-        // Close the race with a shutdown that drained the rings between
-        // the flag check above and our push: if the flag is now set, make
-        // sure this job either runs or fails typed — never strands.
-        if shared.shutdown_flag.load(Ordering::SeqCst) {
-            if let Some(err) = rescue_shutdown_race(shared, id) {
-                return Err(err);
-            }
-        }
-        shared.wake_one();
-        Ok(JobId(id))
-    }
-
-    /// Counts a shed submission, both globally and per tenant.
-    fn count_shed(&self, lane: &TenantLane) {
-        self.shared.rejected_total.fetch_add(1, Ordering::SeqCst);
-        lane.shed.fetch_add(1, Ordering::SeqCst);
-        self.shared.telemetry.incr("service.jobs.rejected", 1);
-        if self.shared.telemetry.is_enabled() {
-            self.shared
+                .incr_labeled("service.tenant.submitted", tenant, 1);
+            shared
                 .telemetry
-                .incr_labeled("service.tenant.shed", &lane.name, 1);
+                .record_value("service.queue.depth", depth as f64);
         }
+        Ok(JobId(id))
     }
 
     /// The job's current status.
@@ -835,14 +777,8 @@ impl ServiceHandle {
     ///
     /// [`ServiceError::UnknownJob`] for a ticket this service never issued.
     pub fn poll(&self, id: JobId) -> Result<JobStatus, ServiceError> {
-        let mut state = self.shared.lock();
-        // The job may still be in its admission ring (submitted but not
-        // yet drained by a worker): help the drain so a submit-then-poll
-        // caller always sees its own ticket.
-        if !state.jobs.contains_key(&id.0) {
-            drain_admissions(&self.shared, &mut state);
-        }
-        state
+        self.shared
+            .lock()
             .jobs
             .get(&id.0)
             .map(|r| r.status.clone())
@@ -859,9 +795,6 @@ impl ServiceHandle {
     pub fn wait(&self, id: JobId, timeout: Duration) -> Result<Arc<JobOutcome>, ServiceError> {
         let deadline = Instant::now() + timeout;
         let mut state = self.shared.lock();
-        if !state.jobs.contains_key(&id.0) {
-            drain_admissions(&self.shared, &mut state);
-        }
         loop {
             match state.jobs.get(&id.0) {
                 None => return Err(ServiceError::UnknownJob(id.0)),
@@ -894,10 +827,8 @@ impl ServiceHandle {
     ///
     /// [`ServiceError::UnknownJob`] for a foreign ticket.
     pub fn cancel(&self, id: JobId) -> Result<bool, ServiceError> {
-        let mut state = self.shared.lock();
-        if !state.jobs.contains_key(&id.0) {
-            drain_admissions(&self.shared, &mut state);
-        }
+        let mut guard = self.shared.lock();
+        let state = &mut *guard;
         let record = state
             .jobs
             .get_mut(&id.0)
@@ -914,14 +845,11 @@ impl ServiceHandle {
         )
         .unwrap_or(u64::MAX);
         let priority = record.spec.priority;
-        let lane = record.lane;
+        state.queued -= 1;
+        state.lane_counts[record.lane].queued -= 1;
         state.lat_e2e.record(e2e_us);
         state.totals.cancelled += 1;
-        drop(state);
-        self.shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-        self.shared.lanes[lane]
-            .queued
-            .fetch_sub(1, Ordering::SeqCst);
+        drop(guard);
         self.shared.telemetry.incr("service.jobs.cancelled", 1);
         if self.shared.telemetry.is_enabled() {
             let prio = priority.to_string();
@@ -937,29 +865,30 @@ impl ServiceHandle {
 
     /// A snapshot of the service counters.
     pub fn stats(&self) -> ServiceStats {
+        let state = self.shared.lock();
         let tenants = self
             .shared
             .lanes
             .iter()
-            .map(|lane| TenantStat {
+            .zip(&state.lane_counts)
+            .map(|(lane, counts)| TenantStat {
                 name: lane.name.clone(),
                 weight: lane.weight,
                 quota: lane.quota,
-                queued: lane.queued.load(Ordering::SeqCst),
-                submitted: lane.submitted.load(Ordering::SeqCst),
-                completed: lane.completed.load(Ordering::SeqCst),
-                shed: lane.shed.load(Ordering::SeqCst),
+                queued: counts.queued,
+                submitted: counts.submitted,
+                completed: counts.completed,
+                shed: counts.shed,
             })
             .collect();
-        let state = self.shared.lock();
         ServiceStats {
-            submitted: self.shared.submitted_total.load(Ordering::SeqCst),
-            rejected: self.shared.rejected_total.load(Ordering::SeqCst),
+            submitted: state.totals.submitted,
+            rejected: state.totals.rejected,
             completed: state.totals.completed,
             failed: state.totals.failed,
             cancelled: state.totals.cancelled,
             coalesced: state.totals.coalesced,
-            queued: self.shared.queued_total.load(Ordering::SeqCst),
+            queued: state.queued,
             running: state.running,
             workers: self.shared.config.workers,
             workers_live: state.live_workers,
@@ -1019,10 +948,7 @@ impl ServiceHandle {
         let offset = |at: Instant| -> u64 {
             u64::try_from(at.saturating_duration_since(epoch).as_micros()).unwrap_or(u64::MAX)
         };
-        let mut state = self.shared.lock();
-        if !state.jobs.contains_key(&id.0) {
-            drain_admissions(&self.shared, &mut state);
-        }
+        let state = self.shared.lock();
         let record = state
             .jobs
             .get(&id.0)
@@ -1171,14 +1097,11 @@ fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
     let orphaned_shards = {
         let mut state = shared.lock();
         state.shutdown = true;
-        shared.shutdown_flag.store(true, Ordering::SeqCst);
-        // Pull ring-resident submissions into the scheduler first so
-        // they fail typed like everything else.
-        drain_admissions(shared, &mut state);
         let mut entries: Vec<QueueEntry> = state.shards.drain().collect();
         entries.extend(state.ready.drain_all());
         entries.extend(state.delayed.drain(..).map(|d| d.entry));
-        state.pending.clear();
+        // `pending` stays: a worker that popped a lead just before this
+        // sweep claims it through `pending`, and claims skip failed ids.
         let mut orphans = Vec::new();
         let state = &mut *state;
         for entry in entries {
@@ -1188,10 +1111,8 @@ fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
                     if let Some(record) = state.jobs.get_mut(&id.0) {
                         if record.status == JobStatus::Queued {
                             record.status = JobStatus::Failed(error.clone());
-                            shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-                            shared.lanes[record.lane]
-                                .queued
-                                .fetch_sub(1, Ordering::SeqCst);
+                            state.queued -= 1;
+                            state.lane_counts[record.lane].queued -= 1;
                             state.totals.failed += 1;
                         }
                     }
@@ -1228,61 +1149,6 @@ fn worker_loop(shared: &Shared) -> WorkerExit {
             return WorkerExit::Panicked;
         }
     }
-}
-
-/// Moves every ring-resident submission into the scheduler's per-tenant
-/// heaps: assigns dequeue sequence numbers, files the job record, and
-/// registers it for coalescing. Called by workers before each dequeue
-/// and by client-side lookups that miss (so a freshly-submitted ticket
-/// is always observable) — draining is cooperative, not owned by any
-/// one thread.
-fn drain_admissions(shared: &Shared, state: &mut SchedState) {
-    for (lane_idx, lane) in shared.lanes.iter().enumerate() {
-        while let Some(msg) = lane.ring.pop() {
-            let seq = state.next_seq;
-            state.next_seq += 1;
-            state
-                .pending
-                .entry(msg.record.exec_key)
-                .or_default()
-                .push(msg.id);
-            state.jobs.insert(msg.id, msg.record);
-            state.ready.push(
-                lane_idx,
-                QueueEntry {
-                    priority: msg.priority,
-                    seq,
-                    item: Item::Lead(JobId(msg.id)),
-                },
-            );
-        }
-    }
-}
-
-/// Closes the submit/shutdown race: called by `submit` when it observed
-/// the shutdown flag *after* pushing into a ring. By then a shutdown's
-/// final drain may already have passed this ring. Drains again under the
-/// lock; if the job is still queued it fails typed (`Some(error)` tells
-/// submit to report rejection), and if a worker already picked it up it
-/// will settle normally (`None`).
-fn rescue_shutdown_race(shared: &Shared, id: u64) -> Option<ServiceError> {
-    let mut state = shared.lock();
-    drain_admissions(shared, &mut state);
-    let Some(record) = state.jobs.get_mut(&id) else {
-        return Some(ServiceError::ShuttingDown);
-    };
-    if record.status != JobStatus::Queued {
-        return None;
-    }
-    record.status = JobStatus::Failed(ServiceError::ShuttingDown);
-    record.settled_at = Some(Instant::now());
-    let lane = record.lane;
-    state.totals.failed += 1;
-    drop(state);
-    shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-    shared.lanes[lane].queued.fetch_sub(1, Ordering::SeqCst);
-    shared.job_done.notify_all();
-    Some(ServiceError::ShuttingDown)
 }
 
 /// Warms the plan cache from an on-disk snapshot: each persisted source
@@ -1359,18 +1225,16 @@ fn save_snapshot_to(shared: &Shared, path: &Path) -> Result<usize, SnapshotError
     Ok(count)
 }
 
-/// The failsafe cap on a worker's park time: even if a wakeup is lost,
-/// the worker re-drains the admission rings at least this often.
+/// The failsafe cap on a worker's park time: a parked worker re-checks
+/// the queues at least this often, whether or not a notify reached it.
 const PARK_FAILSAFE: Duration = Duration::from_millis(50);
 
-/// Pops the next runnable entry: drains the admission rings, promotes
-/// retries whose backoff elapsed, serves claimed shards first and then
-/// the fair dequeue. Returns `None` when the service is shut down and
-/// fully drained.
+/// Pops the next runnable entry: promotes retries whose backoff elapsed,
+/// serves claimed shards first and then the fair dequeue. Returns `None`
+/// when the service is shut down and fully drained.
 fn next_entry(shared: &Shared) -> Option<QueueEntry> {
     let mut state = shared.lock();
     loop {
-        drain_admissions(shared, &mut state);
         let now = Instant::now();
         let mut next_ready: Option<Instant> = None;
         let mut i = 0;
@@ -1397,16 +1261,10 @@ fn next_entry(shared: &Shared) -> Option<QueueEntry> {
         if state.shutdown {
             return None;
         }
-        // Park. Register as a sleeper, then re-drain: a submit that
-        // pushed before our registration may have skipped its notify
-        // (it saw zero sleepers), so the work must be re-checked after
-        // the registration is visible.
-        shared.sleepers.fetch_add(1, Ordering::SeqCst);
-        drain_admissions(shared, &mut state);
-        if !state.ready.is_empty() || !state.shards.is_empty() || state.shutdown {
-            shared.sleepers.fetch_sub(1, Ordering::SeqCst);
-            continue;
-        }
+        // Park. The lock is held from the empty check above until `wait`
+        // releases it, so a submit either queued before that check or sees
+        // this sleeper and notifies it.
+        state.sleepers += 1;
         let wait = next_ready.map_or(PARK_FAILSAFE, |at| {
             at.saturating_duration_since(now).min(PARK_FAILSAFE)
         });
@@ -1414,7 +1272,7 @@ fn next_entry(shared: &Shared) -> Option<QueueEntry> {
             Ok((guard, _)) => guard,
             Err(poisoned) => poisoned.into_inner().0,
         };
-        shared.sleepers.fetch_sub(1, Ordering::SeqCst);
+        state.sleepers -= 1;
     }
 }
 
@@ -1512,24 +1370,20 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Phase 1 (under the lock): validate, enforce the deadline, coalesce,
 /// and bump each claimed job's attempt counter.
 fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
-    let mut state = shared.lock();
-    let record = state.jobs.get(&id.0)?;
+    let mut guard = shared.lock();
+    let state = &mut *guard;
+    let record = state.jobs.get_mut(&id.0)?;
     // Cancelled, already served by an earlier batch, or already failed.
     if record.status != JobStatus::Queued {
         return None;
     }
     if let Some(deadline_ms) = record.spec.deadline_ms {
         if record.submitted_at.elapsed() >= Duration::from_millis(deadline_ms) {
-            let err = ServiceError::DeadlineExceeded { deadline_ms };
-            let mut lane = 0;
-            if let Some(r) = state.jobs.get_mut(&id.0) {
-                r.status = JobStatus::Failed(err);
-                lane = r.lane;
-            }
+            record.status = JobStatus::Failed(ServiceError::DeadlineExceeded { deadline_ms });
+            state.queued -= 1;
+            state.lane_counts[record.lane].queued -= 1;
             state.totals.failed += 1;
-            drop(state);
-            shared.queued_total.fetch_sub(1, Ordering::SeqCst);
-            shared.lanes[lane].queued.fetch_sub(1, Ordering::SeqCst);
+            drop(guard);
             shared.telemetry.incr("service.jobs.deadline_expired", 1);
             shared.job_done.notify_all();
             return None;
@@ -1555,9 +1409,8 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
                 if jid == id.0 {
                     attempt = r.attempts;
                 }
-                let lane = r.lane;
                 batch.push((jid, r.attempts));
-                shared.lanes[lane].queued.fetch_sub(1, Ordering::SeqCst);
+                state.lane_counts[r.lane].queued -= 1;
             }
         }
     }
@@ -1565,14 +1418,12 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
         return None;
     }
     state.running += batch.len();
+    state.queued -= batch.len();
     state.totals.coalesced += (batch.len() - 1) as u64;
     let priority = spec.priority;
     let inflight = state.running;
-    drop(state);
-    let depth = shared
-        .queued_total
-        .fetch_sub(batch.len(), Ordering::SeqCst)
-        .saturating_sub(batch.len());
+    let depth = state.queued;
+    drop(guard);
     // Sampled gauges: one observation per claim, so the min/max/mean of
     // queue depth and inflight jobs track load without a poller thread.
     shared
@@ -2038,7 +1889,7 @@ fn settle_batch(
                     }));
                     state.totals.completed += 1;
                     completed += 1;
-                    shared.lanes[lane].completed.fetch_add(1, Ordering::SeqCst);
+                    state.lane_counts[lane].completed += 1;
                     state.lat_e2e.record(e2e_us);
                     settled.push(Settled {
                         id,
@@ -2063,8 +1914,8 @@ fn settle_batch(
                         record.status = JobStatus::Queued;
                         let delay_ms = record.spec.retry.backoff_ms(record.attempts);
                         let priority = record.spec.priority;
-                        shared.queued_total.fetch_add(1, Ordering::SeqCst);
-                        shared.lanes[lane].queued.fetch_add(1, Ordering::SeqCst);
+                        state.queued += 1;
+                        state.lane_counts[lane].queued += 1;
                         state.totals.retries_scheduled += 1;
                         retried += 1;
                         state.pending.entry(record.exec_key).or_default().push(id);
@@ -2573,6 +2424,22 @@ mod tests {
         // Both in-flight and queued jobs finished before shutdown returned.
         assert!(handle.poll(blocker).unwrap().is_terminal());
         assert!(handle.poll(queued).unwrap().is_terminal());
+    }
+
+    #[test]
+    fn a_lead_popped_just_before_shutdown_now_still_settles() {
+        let service = single_worker(16);
+        let handle = service.handle();
+        let blocker = occupy_worker(&handle);
+        let id = handle.submit(JobSpec::new(BELL)).unwrap();
+        // Play a worker that popped the lead just before the sweep ran.
+        let entry = next_entry(&service.shared).unwrap();
+        assert!(matches!(entry.item, Item::Lead(popped) if popped == id));
+        fail_queued_jobs(&service.shared, &ServiceError::ShuttingDown);
+        lead_step(&service.shared, id);
+        assert!(handle.poll(id).unwrap().is_terminal());
+        wait(&handle, blocker);
+        service.shutdown();
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Multi-tenant admission: tenant configuration and the deficit
 //! round-robin (DRR) fair dequeue.
 //!
-//! Each tenant gets its own admission lane (a lock-free ring on the
-//! submit side, a priority heap on the scheduler side) plus a *weight*
-//! and an optional *quota*:
+//! Each tenant gets its own admission lane (a priority heap that
+//! submissions join under the scheduler lock) plus a *weight* and an
+//! optional *quota*:
 //!
 //! - the **quota** bounds how many of a tenant's jobs may sit queued at
 //!   once — a flooding client sheds its own overflow instead of filling

@@ -109,27 +109,24 @@ impl JsonValue {
 ///
 /// A message with the byte offset of the first syntax error.
 pub fn parse(text: &str) -> Result<JsonValue, String> {
-    let mut p = Parser {
-        bytes: text.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != text.len() {
         return Err(format!("trailing data at byte {}", p.pos));
     }
     Ok(v)
 }
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 impl Parser<'_> {
     fn skip_ws(&mut self) {
-        while let Some(&b) = self.bytes.get(self.pos) {
+        while let Some(&b) = self.text.as_bytes().get(self.pos) {
             if b == b' ' || b == b'\t' || b == b'\n' || b == b'\r' {
                 self.pos += 1;
             } else {
@@ -139,7 +136,7 @@ impl Parser<'_> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn expect(&mut self, b: u8) -> Result<(), String> {
@@ -153,7 +150,7 @@ impl Parser<'_> {
 
     fn literal(&mut self, word: &str, v: JsonValue) -> Result<JsonValue, String> {
         let end = self.pos + word.len();
-        if self.bytes.get(self.pos..end) == Some(word.as_bytes()) {
+        if self.text.as_bytes().get(self.pos..end) == Some(word.as_bytes()) {
             self.pos = end;
             Ok(v)
         } else {
@@ -248,9 +245,8 @@ impl Parser<'_> {
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
                             let hex = self
-                                .bytes
+                                .text
                                 .get(self.pos + 1..self.pos + 5)
-                                .and_then(|h| std::str::from_utf8(h).ok())
                                 .ok_or_else(|| format!("bad \\u escape at byte {}", self.pos))?;
                             let code = u32::from_str_radix(hex, 16)
                                 .map_err(|_| format!("bad \\u escape at byte {}", self.pos))?;
@@ -264,13 +260,16 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // bytes are valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| "invalid utf-8".to_string())?;
-                    let c = s.chars().next().ok_or("unterminated string")?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next `"` or `\` as one
+                    // slice. Both are ASCII, so the run ends on a char
+                    // boundary and decoding stays linear in the input.
+                    let rest = self.text.get(self.pos..).ok_or("invalid utf-8")?;
+                    let run = rest
+                        .bytes()
+                        .position(|b| b == b'"' || b == b'\\')
+                        .unwrap_or(rest.len());
+                    out.push_str(rest.get(..run).ok_or("invalid utf-8")?);
+                    self.pos += run;
                 }
             }
         }
@@ -299,8 +298,7 @@ impl Parser<'_> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| "invalid utf-8".to_string())?;
+        let text = self.text.get(start..self.pos).ok_or("invalid utf-8")?;
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("invalid number at byte {start}"))
@@ -334,6 +332,17 @@ mod tests {
         assert_eq!(arr.len(), 3);
         assert_eq!(arr[2].get("b"), Some(&JsonValue::Null));
         assert_eq!(v.get("c").and_then(JsonValue::as_str), Some("d"));
+    }
+
+    #[test]
+    fn decodes_a_mebibyte_string_with_every_escape() {
+        let piece = r#"ascii, héllo ✓ 𝄞 \" \\ \/ \n \t \r \b \f \u0041\u00e9\u2713 "#;
+        let decoded = "ascii, héllo ✓ 𝄞 \" \\ / \n \t \r \u{8} \u{c} Aé✓ ";
+        let reps = (1 << 20) / decoded.len() + 1;
+        let want = decoded.repeat(reps);
+        assert!(want.len() >= 1 << 20);
+        let input = format!("\"{}\"", piece.repeat(reps));
+        assert_eq!(parse(&input).unwrap(), JsonValue::String(want));
     }
 
     #[test]

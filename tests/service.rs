@@ -4,14 +4,15 @@
 //! supervision, seeded retry, shutdown draining and front-end hardening.
 
 use qca_service::{
-    JobFaults, JobSpec, RetryPolicy, Service, ServiceConfig, ServiceError, TcpConfig, TcpServer,
-    TenantConfig,
+    JobFaults, JobId, JobSpec, JobStatus, RetryPolicy, Service, ServiceConfig, ServiceError,
+    TcpConfig, TcpServer, TenantConfig,
 };
 use qca_telemetry::json::{self, JsonValue};
 use qca_telemetry::Telemetry;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
 const BELL: &str = "qubits 2\nh q[0]\ncnot q[0], q[1]\nmeasure_all\n";
@@ -906,5 +907,114 @@ fn tenant_stats_and_quota_sheds_round_trip_over_the_wire() {
     );
 
     server.stop();
+    service.shutdown();
+}
+
+/// A non-Clifford circuit with a mid-circuit measurement: every shot is
+/// interpreted on the full 2^14 state vector, so a few hundred shots keep
+/// one worker busy for ~0.1 s (release) to ~1 s (debug).
+fn pin_circuit() -> String {
+    let mut s = String::from("qubits 14\nt q[0]\n");
+    for q in 0..14 {
+        s.push_str(&format!("h q[{q}]\n"));
+    }
+    s.push_str("measure q[0]\n");
+    for q in 0..14 {
+        s.push_str(&format!("h q[{q}]\n"));
+    }
+    s.push_str("measure_all\n");
+    s
+}
+
+/// Concurrent admission: threads released together by a barrier submit
+/// distinct jobs to a one-worker service whose worker is pinned. Every
+/// ticket is unique, admission stops exactly at `queue_capacity`, every
+/// refusal is a counted `QueueFull`, every admitted job completes, and
+/// each thread's jobs are claimed in its own submit order.
+#[test]
+fn concurrent_submits_get_unique_tickets_and_respect_capacity() {
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 16;
+    const CAPACITY: usize = 24;
+    let service = Service::with_config(ServiceConfig {
+        workers: 1,
+        queue_capacity: CAPACITY,
+        ..ServiceConfig::default()
+    });
+    let handle = service.handle();
+    let pin = handle
+        .submit(JobSpec::new(pin_circuit()).with_shots(400))
+        .unwrap();
+    while handle.poll(pin).unwrap() != JobStatus::Running {
+        std::thread::yield_now();
+    }
+
+    let start = Arc::new(Barrier::new(THREADS as usize));
+    let submitters: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let handle = handle.clone();
+            let start = Arc::clone(&start);
+            std::thread::spawn(move || {
+                start.wait();
+                (0..PER_THREAD)
+                    .map(|i| handle.submit(JobSpec::new(BELL).with_seed(t * PER_THREAD + i)))
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let per_thread: Vec<Vec<JobId>> = submitters
+        .into_iter()
+        .map(|submitter| {
+            submitter
+                .join()
+                .unwrap()
+                .into_iter()
+                .filter_map(|result| match result {
+                    Ok(id) => Some(id),
+                    Err(err) => {
+                        assert_eq!(err, ServiceError::QueueFull { capacity: CAPACITY });
+                        None
+                    }
+                })
+                .collect()
+        })
+        .collect();
+
+    // Nothing can have left the queue while the pin held the worker.
+    assert_eq!(
+        handle.poll(pin).unwrap(),
+        JobStatus::Running,
+        "the pin must outlast the submitters for the capacity check to hold"
+    );
+    let admitted: Vec<JobId> = per_thread.iter().flatten().copied().collect();
+    let refused = (THREADS * PER_THREAD) as usize - admitted.len();
+    let unique: HashSet<_> = admitted.iter().collect();
+    assert_eq!(unique.len(), admitted.len(), "duplicate tickets issued");
+    assert!(!unique.contains(&pin), "the pin's ticket was reissued");
+    assert_eq!(
+        admitted.len(),
+        CAPACITY,
+        "admission must stop exactly at capacity"
+    );
+    let stats = handle.stats();
+    assert_eq!(stats.queued, CAPACITY);
+    assert_eq!(stats.rejected, refused as u64);
+    assert_eq!(stats.submitted, CAPACITY as u64 + 1);
+
+    handle.wait(pin, Duration::from_secs(120)).unwrap();
+    for &id in &admitted {
+        handle.wait(id, Duration::from_secs(120)).unwrap();
+    }
+    for ids in &per_thread {
+        let claims: Vec<u64> = ids
+            .iter()
+            .map(|&id| handle.lifecycle(id).unwrap().claim_us.unwrap())
+            .collect();
+        assert!(
+            claims.windows(2).all(|pair| pair[0] <= pair[1]),
+            "a thread's jobs must be claimed in its submit order: {claims:?}"
+        );
+    }
+    assert_eq!(handle.stats().completed, CAPACITY as u64 + 1);
     service.shutdown();
 }
