@@ -29,7 +29,7 @@ use crate::plan::{
 };
 use crate::qubit_model::QubitModel;
 use crate::stabilizer::{self, set_bit, EngineSelect, FrameSampler};
-use crate::state::{auto_threads, par_min_qubits, StateVector};
+use crate::state::{chunk_count, evolve_threads, par_min_qubits, EvolveCounts, StateVector};
 use cqasm::{KernelClass, Program};
 use qca_telemetry::Telemetry;
 use rand::rngs::StdRng;
@@ -37,17 +37,22 @@ use rand::{Rng, SeedableRng};
 use std::collections::HashMap;
 use std::time::Instant;
 
-/// Per-run kernel-dispatch counts, one bucket per [`KernelClass`] (indexed
-/// by [`KernelClass::class_index`]). Accumulated locally per worker and
-/// summed, so the totals are independent of the thread split.
-type KernelCounts = [u64; KernelClass::COUNT];
+/// Per-run state-vector work counts: kernel dispatches, one bucket per
+/// [`KernelClass`] (indexed by [`KernelClass::class_index`]), and the
+/// segments and passes of the run's evolutions. Accumulated locally per
+/// worker and summed, so the totals are independent of the shot split.
+#[derive(Default)]
+struct WorkCounts {
+    kernels: [u64; KernelClass::COUNT],
+    evolve: EvolveCounts,
+}
 
-/// When telemetry is enabled, every `N`-th dispatch of each kernel class
-/// (starting with its first) is wall-clock timed and recorded under the
-/// `qxsim.kernel_ns.<class>` value series. Sampling keeps the `Instant`
-/// reads off the overwhelming majority of gate applications while still
-/// yielding per-class latency distributions.
-const KERNEL_TIMING_SAMPLE_EVERY: u64 = 64;
+/// When telemetry is enabled, every `N`-th tableau shot of a range
+/// (starting with its first) is wall-clock timed into the
+/// `qxsim.stab.shot_ns` series. Sampling keeps the `Instant` reads off
+/// the overwhelming majority of shots while still yielding a latency
+/// distribution.
+const SHOT_TIMING_SAMPLE_EVERY: u64 = 64;
 
 /// Largest cumulative table the sampling fast path counts into a dense
 /// per-basis-state bucket array (see [`Simulator::sweep_range`]).
@@ -225,8 +230,9 @@ impl Simulator {
 
     /// Attaches a telemetry handle. Multi-shot runs then record spans
     /// (plan compilation vs. shot execution), the kernel-dispatch
-    /// histogram, sampling fast-path hits/misses, the parallel-sweep
-    /// decision, and fault-injection events. The default is a disabled
+    /// histogram, the segments and passes of every state evolution,
+    /// sampling fast-path hits/misses, the parallel-sweep decision, and
+    /// fault-injection events. The default is a disabled
     /// handle: every instrumentation point is a single branch and the hot
     /// kernel paths are untouched.
     pub fn with_telemetry(mut self, telemetry: Telemetry) -> Self {
@@ -635,23 +641,23 @@ impl Simulator {
             }
             SweepKind::Interpreter(plan) => {
                 let counting = self.telemetry.is_enabled();
-                let mut counts: KernelCounts = [0; KernelClass::COUNT];
+                let mut work = WorkCounts::default();
                 for shot in lo..hi {
                     let mut rng = self.shot_rng(shot);
                     let bits = self
-                        .run_compiled_counted(plan, &mut rng, counting.then_some(&mut counts))
+                        .run_compiled_counted(plan, &mut rng, counting.then_some(&mut work))
                         .bits;
                     hist.record(bits);
                 }
-                self.record_kernel_counts(&counts);
+                self.record_work(&work);
             }
             SweepKind::Tableau(ops, n) => {
                 // With telemetry on, one shot in every
-                // KERNEL_TIMING_SAMPLE_EVERY is wall-clock timed.
+                // SHOT_TIMING_SAMPLE_EVERY is wall-clock timed.
                 let timing = self.telemetry.is_enabled();
                 for shot in lo..hi {
                     let mut rng = self.shot_rng(shot);
-                    let start = (timing && (shot - lo).is_multiple_of(KERNEL_TIMING_SAMPLE_EVERY))
+                    let start = (timing && (shot - lo).is_multiple_of(SHOT_TIMING_SAMPLE_EVERY))
                         .then(Instant::now);
                     let bits = stabilizer::tableau_shot(ops, *n, &mut rng);
                     if let Some(start) = start {
@@ -685,17 +691,18 @@ impl Simulator {
         hist
     }
 
-    /// Records the threads-vs-serial dispatch decision the state-vector
-    /// kernels will make for this plan (uniform across a run: it depends
-    /// only on the qubit count, the [`par_min_qubits`] threshold and the
-    /// probed host parallelism).
+    /// Records the threads-vs-serial decision the state-vector evolutions
+    /// of this plan make (uniform across a run: it depends only on the
+    /// qubit count, the [`par_min_qubits`] threshold and the probed host
+    /// parallelism). `kernel_threads` is the chunk count an evolution
+    /// splits the state into.
     fn record_sweep_decision(&self, qubits: usize) {
         if !self.telemetry.is_enabled() {
             return;
         }
         let threshold = par_min_qubits();
-        let kernel_threads = auto_threads();
-        let parallel = qubits >= threshold && kernel_threads > 1;
+        let kernel_threads = chunk_count(evolve_threads(qubits), qubits);
+        let parallel = kernel_threads > 1;
         self.telemetry.incr_labeled(
             "qxsim.parallel_sweep",
             if parallel { "parallel" } else { "serial" },
@@ -705,18 +712,22 @@ impl Simulator {
             .record_value("qxsim.parallel_sweep.qubits", qubits as f64);
         self.telemetry
             .record_value("qxsim.parallel_sweep.par_min_qubits", threshold as f64);
-        self.telemetry.record_value(
-            "qxsim.parallel_sweep.kernel_threads",
-            if parallel { kernel_threads as f64 } else { 1.0 },
-        );
+        self.telemetry
+            .record_value("qxsim.parallel_sweep.kernel_threads", kernel_threads as f64);
     }
 
-    /// Folds a run's kernel-dispatch counts into the telemetry histogram.
-    fn record_kernel_counts(&self, counts: &KernelCounts) {
+    /// Folds a run's work counts into telemetry: the kernel-dispatch
+    /// histogram and the `qxsim.sweep.segments` / `qxsim.sweep.passes`
+    /// counters.
+    fn record_work(&self, work: &WorkCounts) {
         if !self.telemetry.is_enabled() {
             return;
         }
-        for (index, &count) in counts.iter().enumerate() {
+        self.telemetry
+            .incr("qxsim.sweep.segments", work.evolve.segments);
+        self.telemetry
+            .incr("qxsim.sweep.passes", work.evolve.passes);
+        for (index, &count) in work.kernels.iter().enumerate() {
             if count > 0 {
                 self.telemetry.incr_labeled(
                     "qxsim.kernel_dispatch",
@@ -751,33 +762,36 @@ impl Simulator {
     }
 
     /// Applies the unitary gate prefix of a sampling-eligible plan to a
-    /// fresh zero state, folding the kernel-dispatch counts into telemetry
-    /// once.
+    /// fresh zero state in one evolution, folding its work counts into
+    /// telemetry once.
     fn evolve_prefix(&self, plan: &CompiledProgram) -> StateVector {
         let mut state = StateVector::zero_state(plan.qubit_count());
-        let mut counts: KernelCounts = [0; KernelClass::COUNT];
+        let mut work = WorkCounts::default();
         let counting = self.telemetry.is_enabled();
-        for op in plan.ops() {
-            if let PlannedOp::Gate(g) = op {
-                if counting {
-                    let idx = g.kernel.class_index();
-                    counts[idx] += 1;
-                    if counts[idx] % KERNEL_TIMING_SAMPLE_EVERY == 1 {
-                        let start = Instant::now();
-                        state.apply_kernel(&g.kernel, &g.qubits);
-                        self.telemetry.record_value_labeled(
-                            "qxsim.kernel_ns",
-                            KernelClass::class_name(idx),
-                            start.elapsed().as_nanos() as f64,
-                        );
-                        continue;
-                    }
-                }
-                state.apply_kernel(&g.kernel, &g.qubits);
-            }
-        }
-        self.record_kernel_counts(&counts);
+        self.evolve(&mut state, gates(plan.ops()), counting.then_some(&mut work));
+        self.record_work(&work);
         state
+    }
+
+    /// Evolves `state` through `gates` by segments (see
+    /// [`StateVector::evolve`]) on the register's thread count, adding
+    /// each kernel's dispatch and the evolution's segments and passes to
+    /// `work`. `work` is `None` when telemetry is disabled, so counting
+    /// costs one branch.
+    fn evolve<'k>(
+        &self,
+        state: &mut StateVector,
+        gates: impl Iterator<Item = &'k PlannedGate> + Clone + Send,
+        work: Option<&mut WorkCounts>,
+    ) {
+        let kernels = gates.map(|g| (&g.kernel, g.qubits.as_slice()));
+        let counts = state.evolve(kernels.clone(), evolve_threads(state.qubit_count()));
+        if let Some(work) = work {
+            for (kernel, _) in kernels {
+                work.kernels[kernel.class_index()] += 1;
+            }
+            work.evolve += counts;
+        }
     }
 
     /// Prepares a density-matrix sweep: evolves the full density matrix
@@ -908,27 +922,42 @@ impl Simulator {
         self.run_compiled_counted(plan, rng, None)
     }
 
-    /// [`Simulator::run_compiled`] with optional kernel-dispatch counting.
-    /// `counts` is `None` when telemetry is disabled, so the per-gate cost
-    /// of the instrumentation is a single `Option` branch.
+    /// [`Simulator::run_compiled`] with optional work counting. `work`
+    /// is `None` when telemetry is disabled, so the per-evolution cost of
+    /// the instrumentation is a single `Option` branch.
+    ///
+    /// Without gate noise each run of consecutive gates is one evolution;
+    /// under gate noise each gate is its own evolution, followed by its
+    /// error channel.
     fn run_compiled_counted<R: Rng + ?Sized>(
         &self,
         plan: &CompiledProgram,
         rng: &mut R,
-        mut counts: Option<&mut KernelCounts>,
+        mut work: Option<&mut WorkCounts>,
     ) -> ShotResult {
         let n = plan.qubit_count();
         let mut state = StateVector::zero_state(n);
         let mut bits: u64 = 0;
-        for op in plan.ops() {
+        let gate_noise =
+            !(self.model.gate_channel(1).is_none() && self.model.gate_channel(2).is_none());
+        let mut ops = plan.ops();
+        while let Some(op) = ops.first() {
+            let mut step = 1;
             match op {
                 PlannedOp::PrepZ(q) => state.reset(*q, rng),
+                PlannedOp::Gate(_) if !gate_noise => {
+                    step = ops
+                        .iter()
+                        .take_while(|op| matches!(op, PlannedOp::Gate(_)))
+                        .count();
+                    self.evolve(&mut state, gates(&ops[..step]), work.as_deref_mut());
+                }
                 PlannedOp::Gate(g) => {
-                    self.dispatch_gate(&mut state, g, rng, counts.as_deref_mut());
+                    self.apply_planned_gate(&mut state, g, rng, work.as_deref_mut());
                 }
                 PlannedOp::Cond(bit, g) => {
                     if (bits >> bit) & 1 == 1 {
-                        self.dispatch_gate(&mut state, g, rng, counts.as_deref_mut());
+                        self.apply_planned_gate(&mut state, g, rng, work.as_deref_mut());
                     }
                 }
                 PlannedOp::Measure(q) => {
@@ -961,45 +990,21 @@ impl Simulator {
                     }
                 }
             }
+            ops = &ops[step..];
         }
         ShotResult { state, bits }
     }
 
-    /// Applies one planned gate, counting its dispatch and — on every
-    /// [`KERNEL_TIMING_SAMPLE_EVERY`]-th dispatch of its class — timing the
-    /// application into the per-class latency series. `counts` is `None`
-    /// when telemetry is disabled, making both instrumentation points free.
-    fn dispatch_gate<R: Rng + ?Sized>(
-        &self,
-        state: &mut StateVector,
-        g: &PlannedGate,
-        rng: &mut R,
-        counts: Option<&mut KernelCounts>,
-    ) {
-        if let Some(c) = counts {
-            let idx = g.kernel.class_index();
-            c[idx] += 1;
-            if c[idx] % KERNEL_TIMING_SAMPLE_EVERY == 1 {
-                let start = Instant::now();
-                self.apply_planned_gate(state, g, rng);
-                self.telemetry.record_value_labeled(
-                    "qxsim.kernel_ns",
-                    KernelClass::class_name(idx),
-                    start.elapsed().as_nanos() as f64,
-                );
-                return;
-            }
-        }
-        self.apply_planned_gate(state, g, rng);
-    }
-
+    /// Applies one planned gate as its own evolution, then its error
+    /// channel on each operand.
     fn apply_planned_gate<R: Rng + ?Sized>(
         &self,
         state: &mut StateVector,
         g: &PlannedGate,
         rng: &mut R,
+        work: Option<&mut WorkCounts>,
     ) {
-        state.apply_kernel(&g.kernel, &g.qubits);
+        self.evolve(state, std::iter::once(g), work);
         let channel = self.model.gate_channel(g.arity);
         if !channel.is_none() {
             for &q in &g.qubits {
@@ -1007,6 +1012,14 @@ impl Simulator {
             }
         }
     }
+}
+
+/// The gates of `ops`, in order, skipping every other operation.
+fn gates(ops: &[PlannedOp]) -> impl Iterator<Item = &PlannedGate> + Clone + Send {
+    ops.iter().filter_map(|op| match op {
+        PlannedOp::Gate(g) => Some(g),
+        _ => None,
+    })
 }
 
 /// One run's prepared sweep: the resolved engine plus everything its shots
@@ -1708,24 +1721,73 @@ mod fusion_execution_tests {
         }
     }
 
-    /// Kernel timing is sampled into `qxsim.kernel_ns.<class>` series when
-    /// telemetry is attached.
+    /// Telemetry-on runs record every evolution's segments and passes
+    /// next to the kernel-dispatch histogram, on the per-shot interpreter
+    /// and the evolved-prefix path alike. A serial evolution (a register
+    /// below the threads-on threshold) takes one pass per kernel.
     #[test]
-    fn kernel_timing_series_are_recorded() {
-        let tel = Telemetry::enabled();
-        let sim = Simulator::perfect()
-            .with_telemetry(tel.clone())
-            .with_sampling_fast_path(false);
-        let p = stress(3);
-        sim.run_shots(&p, 50).unwrap();
-        let snap = tel.snapshot();
-        assert!(
-            snap.values
-                .keys()
-                .any(|k| k.starts_with("qxsim.kernel_ns.")),
-            "no kernel timing series in {:?}",
-            snap.values.keys().collect::<Vec<_>>()
+    fn evolution_work_counters_are_recorded() {
+        let prefix = Program::builder(3)
+            .gate(GateKind::H, &[0])
+            .gate(GateKind::Cnot, &[0, 1])
+            .gate(GateKind::T, &[2])
+            .measure_all()
+            .build();
+        for p in [stress(3), prefix] {
+            let tel = Telemetry::enabled();
+            let sim = Simulator::perfect().with_telemetry(tel.clone());
+            sim.run_shots(&p, 50).unwrap();
+            let snap = tel.snapshot();
+            let dispatched: u64 = snap.labeled["qxsim.kernel_dispatch"].values().sum();
+            let segments = snap.counters["qxsim.sweep.segments"];
+            let passes = snap.counters["qxsim.sweep.passes"];
+            assert!(dispatched > 0 && passes > 0);
+            if chunk_count(evolve_threads(3), 3) == 1 {
+                assert_eq!((segments, passes), (0, dispatched));
+            } else {
+                assert!(segments <= passes && passes <= dispatched);
+            }
+        }
+    }
+
+    /// The fused QFT-20 plan (the circuit `statevector-20q` serves,
+    /// compiled here without OpenQL) evolves in one pass per kernel on one
+    /// thread, and on two threads in one segment plus a whole-state pass
+    /// for its one kernel that mixes the top qubit; both give the same
+    /// state.
+    #[test]
+    fn qft20_evolves_in_pinned_segments_and_passes() {
+        let n = 20;
+        let mut b = Program::builder(n);
+        for i in 0..n {
+            b = b.gate(GateKind::H, &[i]);
+            for j in i + 1..n {
+                b = b.gate(GateKind::CRk((j - i + 1) as u32), &[j, i]);
+            }
+        }
+        let plan = Simulator::perfect()
+            .compile(&b.measure_all().build())
+            .unwrap();
+        let kernels = gates(plan.ops()).map(|g| (&g.kernel, g.qubits.as_slice()));
+        let kernel_count = kernels.clone().count() as u64;
+        assert_eq!(kernel_count, 47);
+        let mut serial = StateVector::zero_state(n);
+        let mut split = serial.clone();
+        assert_eq!(
+            serial.evolve(kernels.clone(), 1),
+            EvolveCounts {
+                segments: 0,
+                passes: kernel_count
+            }
         );
+        assert_eq!(
+            split.evolve(kernels, 2),
+            EvolveCounts {
+                segments: 1,
+                passes: 2
+            }
+        );
+        assert_eq!(serial, split);
     }
 
     /// Compilation folds fusion decisions into telemetry counters.

@@ -574,12 +574,14 @@ fn plan_gate(g: &cqasm::GateApp) -> PlannedGate {
 //
 // Fusion rewrites maximal runs of consecutive `Gate` ops (a *segment*;
 // anything else — `Measure`, `Cond`, `PrepZ`, `Idle`, `Wait` — breaks the
-// segment) through three passes:
+// segment) through four passes:
 //
 //  1. adjacent 1q gates on the same qubit compose into one 2x2;
 //  2. consecutive diagonal gates batch into one strided diagonal table;
 //  3. clusters of gates sharing <= MAX_FUSED_BLOCK_QUBITS qubits compose
-//     into one dense block applied per orbit.
+//     into one dense block applied per orbit, when that pays (see
+//     `cluster_blocks`);
+//  4. runs of 1q gates on distinct qubits regroup into 1q layers.
 //
 // Every rewrite is exact matrix composition over the same constants the
 // unfused kernels would use — no tolerance, no approximation — so a fused
@@ -617,7 +619,7 @@ fn flush_segment(
     let run = collapse_1q_runs(std::mem::take(segment), stats);
     let run = batch_diagonals(n, run, stats);
     let run = cluster_blocks(n, run, stats);
-    let run = layer_1q_runs(run, stats);
+    let run = layer_1q_runs(n, run, stats);
     stats.gates_after += run.len() as u64;
     out.extend(run.into_iter().map(PlannedOp::Gate));
 }
@@ -838,34 +840,32 @@ fn expand_kernel(kernel: &KernelClass, local: &[usize], k: usize) -> BlockUnitar
     BlockUnitary { k, m }
 }
 
-/// Rough cost of applying one planned kernel to a large state, in tenths
-/// of a cheap streaming pass roughly split as "sweep the amplitudes" plus
-/// "complex multiplies per amplitude". Only relative magnitudes matter;
-/// the scale is anchored so the cheapest kernels (scale or permute a
-/// subset of amplitudes) cost 4 and a dense 1q pair-rotation costs 5.
+/// Cost of applying one planned kernel to a large state, in tenths of a
+/// nanosecond per amplitude: the serial kernel bodies measured at 20
+/// qubits (16 MiB of state, cache-resident only in L3), where every pass
+/// streams the state once and the dense kernels are bound by their
+/// complex multiplies. Only relative magnitudes matter.
 fn kernel_cost(g: &PlannedGate) -> u32 {
     match &g.kernel {
         KernelClass::Identity => 0,
-        KernelClass::Diagonal1q(..)
-        | KernelClass::AntiDiagonal1q(..)
-        | KernelClass::Cnot
-        | KernelClass::Cz
-        | KernelClass::Swap
-        | KernelClass::ControlledPhase(_)
-        | KernelClass::ControlledControlled(_)
-        | KernelClass::FusedDiag(_) => 4,
-        KernelClass::General1q(_) | KernelClass::Fused1q(_) => 5,
-        KernelClass::General2q(_) => 11,
+        // Scale a quarter of the amplitudes.
+        KernelClass::Cz | KernelClass::ControlledPhase(_) => 3,
+        KernelClass::Cnot | KernelClass::Swap => 6,
+        KernelClass::AntiDiagonal1q(..) => 8,
+        KernelClass::Diagonal1q(..) | KernelClass::ControlledControlled(_) => 11,
+        KernelClass::General1q(_) | KernelClass::Fused1q(_) => 12,
+        KernelClass::FusedDiag(_) => 13,
+        KernelClass::General2q(_) => 37,
         KernelClass::FusedBlock(b) => block_cost(b.k),
-        // One pass plus one in-register pair rotation per factor.
-        KernelClass::Fused1qLayer(mats) => 3 + 2 * mats.len() as u32,
+        // One tiled pass plus one in-cache pair rotation per factor.
+        KernelClass::Fused1qLayer(mats) => 4 + 7 * mats.len() as u32,
     }
 }
 
 /// Cost of one dense `2^k` block sweep on the same scale as
-/// [`kernel_cost`]: one pass plus `2^k` complex multiplies per amplitude.
+/// [`kernel_cost`]: `2^k` complex multiplies per amplitude.
 fn block_cost(k: usize) -> u32 {
-    3 + 2 * (1u32 << k)
+    12 + 8 * (1u32 << k)
 }
 
 /// Pass 3: greedily cluster consecutive gates whose union support stays
@@ -965,13 +965,18 @@ fn layer_factor(kernel: &KernelClass) -> Option<Mat2> {
 
 /// Pass 4: group runs of consecutive single-qubit gates on pairwise
 /// distinct qubits into factored [`KernelClass::Fused1qLayer`] sweeps of
-/// up to [`crate::state::MAX_1Q_LAYER_QUBITS`] qubits: the factored orbit
+/// up to [`crate::state::MAX_1Q_LAYER_QUBITS`] qubits: the tiled layer
 /// pass does the same arithmetic as the separate gates but streams the
 /// state once per sweep instead of once per gate (a 20-qubit Rx mixer
-/// layer or Hadamard wall becomes 5 sweeps instead of 20 passes). Runs
-/// after the cluster pass so denser fusions get first pick; single
-/// leftovers stay as their original kernels.
-fn layer_1q_runs(gates: Vec<PlannedGate>, stats: &mut FusionStats) -> Vec<PlannedGate> {
+/// layer or Hadamard wall becomes 5 sweeps instead of 20 passes). From
+/// [`crate::state::par_min_qubits`] qubits up the register's top qubit
+/// stays out of layers: it is the split qubit of a threaded evolution
+/// (see [`StateVector::evolve`]), and a layer holding it would take its
+/// other factors out of the parallel segment with it. Runs after the
+/// cluster pass so denser fusions get first pick; single leftovers stay
+/// as their original kernels.
+fn layer_1q_runs(n: usize, gates: Vec<PlannedGate>, stats: &mut FusionStats) -> Vec<PlannedGate> {
+    let split = (n >= crate::state::par_min_qubits()).then(|| n - 1);
     let mut out: Vec<PlannedGate> = Vec::with_capacity(gates.len());
     let mut layer: Vec<PlannedGate> = Vec::new();
     let flush =
@@ -981,9 +986,9 @@ fn layer_1q_runs(gates: Vec<PlannedGate>, stats: &mut FusionStats) -> Vec<Planne
                 return;
             }
             // Snake partition: sort the run by qubit and pair low qubits
-            // (cache-line/page local strides) with high qubits (huge strides)
-            // in each sweep, so a fused orbit gathers a few contiguous
-            // clusters instead of 2^k isolated cache lines. The members act
+            // (rotated inside each tile of the layer pass) with high qubits
+            // (rotated across tiles) in each sweep, so the tiles a sweep
+            // keeps in cache together stay few. The members act
             // on pairwise distinct qubits, so they commute exactly and any
             // grouping composes the same unitary.
             layer.sort_by_key(|g| g.qubits[0]);
@@ -1029,7 +1034,8 @@ fn layer_1q_runs(gates: Vec<PlannedGate>, stats: &mut FusionStats) -> Vec<Planne
             layer.clear();
         };
     for g in gates {
-        let eligible = g.qubits.len() == 1 && layer_factor(&g.kernel).is_some();
+        let eligible =
+            g.qubits.len() == 1 && layer_factor(&g.kernel).is_some() && Some(g.qubits[0]) != split;
         if !eligible {
             flush(&mut layer, &mut out, stats);
             out.push(g);

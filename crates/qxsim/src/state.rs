@@ -7,27 +7,30 @@
 //! entangled qubits on a laptop for the C++ engine; the memory wall is
 //! identical here since the representation is the same).
 //!
-//! Gate application enumerates each gate's *orbits* directly: a `k`-qubit
-//! gate partitions the `2^n` basis states into `2^(n-k)` independent orbits
-//! of `2^k` amplitudes, and the kernels iterate over orbit indices and
-//! expand them to basis indices with bit insertion ([`insert_bit`]) instead
-//! of scanning all `2^n` indices and skipping non-orbit entries. Structured
-//! gates (diagonal, anti-diagonal, CNOT/CZ/SWAP, controlled phase) dispatch
-//! to specialised kernels via [`cqasm::KernelClass`]; everything else falls
-//! back to the generic dense matrix kernels. Large registers are chunked
-//! across threads (see [`par`]). The original scan-and-skip kernels are
-//! preserved in [`reference`] as ground truth for property tests and as the
-//! benchmark baseline.
+//! Every kernel class has one slice-based body that applies it to a
+//! contiguous run of amplitudes: the whole state, or one chunk of it.
+//! Permutation, diagonal, dense 1q and 1q-layer kernels walk the slice
+//! block by block with no index arithmetic; the orbit kernels
+//! (multi-controlled, fused blocks) enumerate each gate's *orbits* directly —
+//! a `k`-qubit gate partitions the `2^n` basis states into `2^(n-k)`
+//! independent orbits of `2^k` amplitudes, expanded from an orbit index
+//! with bit insertion ([`insert_bit`]). Structured gates dispatch to their
+//! bodies via [`cqasm::KernelClass`]. [`StateVector::evolve`] applies a
+//! kernel list by *segments*, one fork-join per run of chunk-local
+//! kernels. The original scan-and-skip kernels are preserved in
+//! [`reference`] as ground truth for property tests and as the benchmark
+//! baseline.
 
 use cqasm::math::{Mat2, Mat4, C64, EPSILON};
 use cqasm::{BlockUnitary, FusedDiagonal, KernelClass};
 use rand::Rng;
 
-/// Analytic default for the minimum register size (in qubits) at which the
-/// dense 1q/2q kernels are split across threads. Below this the per-thread
-/// spawn overhead exceeds the arithmetic saved; at `2^18` amplitudes (4 MiB
-/// of state) the split starts to pay on multi-core hosts. The effective
-/// threshold is [`par_min_qubits`], tunable via `QCA_PAR_MIN_QUBITS`.
+/// Analytic default for the minimum register size (in qubits) at which
+/// the simulator evolves plans by segments across threads (see
+/// [`StateVector::evolve`]). Below this the fork-join costs more than the
+/// arithmetic saved; at `2^18` amplitudes (4 MiB of state) the split
+/// starts to pay on multi-core hosts. The effective threshold is
+/// [`par_min_qubits`], tunable via `QCA_PAR_MIN_QUBITS`.
 pub const PAR_MIN_QUBITS: usize = 18;
 
 /// Parses a `QCA_PAR_MIN_QUBITS` value. Accepts `0..=63`; anything else
@@ -52,9 +55,9 @@ pub fn par_min_qubits() -> usize {
         .get_or_init(|| parse_par_min_qubits(std::env::var("QCA_PAR_MIN_QUBITS").ok().as_deref()))
 }
 
-/// Number of worker threads the automatic kernel dispatch uses: the host's
-/// available parallelism, probed once. `1` disables threading entirely.
-pub(crate) fn auto_threads() -> usize {
+/// The host's available parallelism, probed once. `1` disables threading
+/// entirely.
+fn auto_threads() -> usize {
     use std::sync::OnceLock;
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
@@ -62,6 +65,27 @@ pub(crate) fn auto_threads() -> usize {
             .map(|n| n.get())
             .unwrap_or(1)
     })
+}
+
+/// The thread count the simulator evolves an `n`-qubit plan with: the
+/// host's parallelism from [`par_min_qubits`] qubits up, else one.
+pub(crate) fn evolve_threads(n: usize) -> usize {
+    if n >= par_min_qubits() {
+        auto_threads()
+    } else {
+        1
+    }
+}
+
+/// The number of chunks [`StateVector::evolve`] splits an `n`-qubit state
+/// into for `threads` threads: the largest power of two no larger than
+/// `threads` or the state.
+pub(crate) fn chunk_count(threads: usize, n: usize) -> usize {
+    1 << chunk_bits(threads, n)
+}
+
+fn chunk_bits(threads: usize, n: usize) -> usize {
+    (threads.max(1).ilog2() as usize).min(n)
 }
 
 /// Expands a compressed index by inserting a `0` bit at `pos`: bits below
@@ -72,12 +96,26 @@ fn insert_bit(k: usize, pos: usize) -> usize {
     ((k >> pos) << (pos + 1)) | (k & ((1usize << pos) - 1))
 }
 
-/// Expands a compressed index by inserting `0` bits at the two *sorted*
-/// positions `p0 < p1` (final bit positions in the expanded index).
-#[inline(always)]
-fn insert_two_bits(k: usize, p0: usize, p1: usize) -> usize {
-    debug_assert!(p0 < p1);
-    insert_bit(insert_bit(k, p0), p1)
+/// One kernel application: a classified kernel and its operand qubits.
+/// [`StateVector::evolve`] steps through a list of these.
+pub type KernelRef<'k> = (&'k KernelClass, &'k [usize]);
+
+/// The work of one [`StateVector::evolve`] call.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EvolveCounts {
+    /// Fork-joins: runs of chunk-local kernels in which every thread
+    /// drove its own chunk through the whole run.
+    pub segments: u64,
+    /// Whole-state passes: one per segment plus one per kernel applied
+    /// to the whole state outside a segment.
+    pub passes: u64,
+}
+
+impl std::ops::AddAssign for EvolveCounts {
+    fn add_assign(&mut self, rhs: EvolveCounts) {
+        self.segments += rhs.segments;
+        self.passes += rhs.passes;
+    }
 }
 
 /// A pure quantum state of `n` qubits as a dense amplitude vector.
@@ -241,92 +279,22 @@ impl StateVector {
     }
 
     /// Applies a single-qubit unitary to qubit `q`.
-    ///
-    /// Registers of [`par_min_qubits`] or more qubits are chunked across
-    /// the host's threads (see [`par`]); the result is bit-identical either
-    /// way since every amplitude pair is updated independently.
     pub fn apply_1q(&mut self, m: &Mat2, q: usize) {
         debug_assert!(q < self.n);
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
-            par::apply_1q_threaded(self, m, q, threads);
-        } else {
-            let pairs = self.amps.len() >> 1;
-            self.apply_1q_range(m, q, 0, pairs);
-        }
-    }
-
-    /// Applies `m` to the amplitude pairs with pair index in `lo..hi`.
-    /// Pair index `p` expands to the basis pair `(insert_bit(p, q),
-    /// insert_bit(p, q) | 1 << q)`.
-    ///
-    /// Consecutive pair indices within a `2^q`-aligned block map to
-    /// consecutive basis indices, so the range is walked block-by-block
-    /// with a contiguous inner loop (one `insert_bit` per block, not per
-    /// pair) to keep the traversal as cheap as the classic strided form.
-    fn apply_1q_range(&mut self, m: &Mat2, q: usize, lo: usize, hi: usize) {
-        let bit = 1usize << q;
-        let [[m00, m01], [m10, m11]] = m.0;
-        let mut p = lo;
-        while p < hi {
-            let run = (bit - (p & (bit - 1))).min(hi - p);
-            let i0 = insert_bit(p, q);
-            for j in 0..run {
-                let a0 = self.amps[i0 + j];
-                let a1 = self.amps[i0 + j + bit];
-                self.amps[i0 + j] = m00 * a0 + m01 * a1;
-                self.amps[i0 + j + bit] = m10 * a0 + m11 * a1;
-            }
-            p += run;
-        }
+        one_q(&mut self.amps, m, q);
     }
 
     /// Applies a two-qubit unitary. The matrix is in the basis
     /// `|q_hi q_lo>` where `q_hi` is the **first** operand (matching
     /// [`cqasm::GateUnitary::Two`]).
     ///
-    /// Enumerates the `2^(n-2)` four-element orbits directly (no scan over
-    /// non-orbit indices) and chunks them across threads for large
-    /// registers, like [`StateVector::apply_1q`].
-    ///
     /// # Panics
     ///
-    /// Panics in debug builds if operands alias or are out of range.
+    /// Panics if an operand is out of range; in debug builds also if the
+    /// operands alias.
     pub fn apply_2q(&mut self, m: &Mat4, q_hi: usize, q_lo: usize) {
-        debug_assert!(q_hi != q_lo && q_hi < self.n && q_lo < self.n);
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
-            par::apply_2q_threaded(self, m, q_hi, q_lo, threads);
-        } else {
-            let orbits = self.amps.len() >> 2;
-            self.apply_2q_range(m, q_hi, q_lo, 0, orbits);
-        }
-    }
-
-    /// Applies `m` to the four-element orbits with orbit index in `lo..hi`.
-    fn apply_2q_range(&mut self, m: &Mat4, q_hi: usize, q_lo: usize, lo: usize, hi: usize) {
-        let bh = 1usize << q_hi;
-        let bl = 1usize << q_lo;
-        let (p0, p1) = if q_hi < q_lo {
-            (q_hi, q_lo)
-        } else {
-            (q_lo, q_hi)
-        };
-        let mm = &m.0;
-        for k in lo..hi {
-            let i00 = insert_two_bits(k, p0, p1);
-            let i01 = i00 | bl;
-            let i10 = i00 | bh;
-            let i11 = i00 | bh | bl;
-            let a0 = self.amps[i00];
-            let a1 = self.amps[i01];
-            let a2 = self.amps[i10];
-            let a3 = self.amps[i11];
-            self.amps[i00] = mm[0][0] * a0 + mm[0][1] * a1 + mm[0][2] * a2 + mm[0][3] * a3;
-            self.amps[i01] = mm[1][0] * a0 + mm[1][1] * a1 + mm[1][2] * a2 + mm[1][3] * a3;
-            self.amps[i10] = mm[2][0] * a0 + mm[2][1] * a1 + mm[2][2] * a2 + mm[2][3] * a3;
-            self.amps[i11] = mm[3][0] * a0 + mm[3][1] * a1 + mm[3][2] * a2 + mm[3][3] * a3;
-        }
+        debug_assert!(q_hi != q_lo);
+        two_q(&mut self.amps, m, q_hi, q_lo);
     }
 
     /// Applies a single-qubit unitary to `target` conditioned on every qubit
@@ -336,47 +304,13 @@ impl StateVector {
     /// Enumerates only the `2^(n - controls - 1)` amplitude pairs where all
     /// control bits are set, by inserting the fixed control/target bits into
     /// a compressed counter.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the target is out of range.
     pub fn apply_controlled_1q(&mut self, m: &Mat2, controls: &[usize], target: usize) {
-        debug_assert!(!controls.contains(&target));
-        // Fixed bits of the orbit base, sorted by position: each control is
-        // pinned to 1, the target to 0.
-        let mut fixed: Vec<(usize, usize)> = controls.iter().map(|&c| (c, 1)).collect();
-        fixed.push((target, 0));
-        fixed.sort_unstable();
-        let pairs = self.amps.len() >> fixed.len();
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
-            par::apply_controlled_1q_threaded(self, m, controls, target, threads);
-        } else {
-            self.apply_controlled_1q_range(m, &fixed, target, 0, pairs);
-        }
-    }
-
-    /// Applies `m` to the fixed-bit orbit pairs with pair index in `lo..hi`:
-    /// pair index `k` expands to the basis pair by inserting every
-    /// `(position, value)` of `fixed` (controls pinned to 1, target to 0),
-    /// then setting the target bit for the second element.
-    fn apply_controlled_1q_range(
-        &mut self,
-        m: &Mat2,
-        fixed: &[(usize, usize)],
-        target: usize,
-        lo: usize,
-        hi: usize,
-    ) {
-        let tbit = 1usize << target;
-        let [[m00, m01], [m10, m11]] = m.0;
-        for k in lo..hi {
-            let mut i0 = k;
-            for &(pos, val) in fixed {
-                i0 = ((i0 >> pos) << (pos + 1)) | (val << pos) | (i0 & ((1usize << pos) - 1));
-            }
-            let i1 = i0 | tbit;
-            let a0 = self.amps[i0];
-            let a1 = self.amps[i1];
-            self.amps[i0] = m00 * a0 + m01 * a1;
-            self.amps[i1] = m10 * a0 + m11 * a1;
-        }
+        debug_assert!(!controls.contains(&target) && controls.iter().all(|&c| c < self.n));
+        controlled_1q(&mut self.amps, 0, m, controls, target);
     }
 
     /// Applies a fused diagonal operator over the given support qubits:
@@ -384,57 +318,12 @@ impl StateVector {
     /// (one sweep over all `2^n` amplitudes, no matter how many gates were
     /// fused into the table).
     ///
-    /// Registers at or above [`par_min_qubits`] are chunked across threads;
-    /// the result is bit-identical since every amplitude is independent.
-    pub fn apply_fused_diag(&mut self, diag: &FusedDiagonal, qubits: &[usize]) {
-        debug_assert_eq!(diag.entries.len(), 1usize << qubits.len());
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
-            par::apply_fused_diag_threaded(self, diag, qubits, threads);
-        } else {
-            let len = self.amps.len();
-            self.apply_fused_diag_range(&diag.entries, qubits, 0, len);
-        }
-    }
-
-    /// Scales the amplitudes with basis index in `lo..hi` by their fused
-    /// diagonal entry.
+    /// # Panics
     ///
-    /// The pattern gather (bit `j` of the table index = the state of
-    /// `qubits[j]`) is split at bit `m`: contributions from basis bits
-    /// below `m` are tabulated once, contributions from the bits at or
-    /// above `m` only change every `2^m` indices, so the hot loop is one
-    /// table load, an OR and a complex multiply per amplitude.
-    fn apply_fused_diag_range(&mut self, entries: &[C64], qubits: &[usize], lo: usize, hi: usize) {
-        const LOW_BITS_MAX: usize = 11;
-        let m = self.n.min(LOW_BITS_MAX);
-        let low_len = 1usize << m;
-        // Support is capped at MAX_FUSED_DIAG_QUBITS = 12, so patterns fit u16.
-        let mut low_table = vec![0u16; low_len];
-        for (low_bits, slot) in low_table.iter_mut().enumerate() {
-            let mut pat = 0usize;
-            for (j, &q) in qubits.iter().enumerate() {
-                if q < m {
-                    pat |= ((low_bits >> q) & 1) << j;
-                }
-            }
-            *slot = pat as u16;
-        }
-        let mut i = lo;
-        while i < hi {
-            let mut high_pat = 0usize;
-            for (j, &q) in qubits.iter().enumerate() {
-                if q >= m {
-                    high_pat |= ((i >> q) & 1) << j;
-                }
-            }
-            let run_end = hi.min((i | (low_len - 1)) + 1);
-            for idx in i..run_end {
-                let pat = high_pat | low_table[idx & (low_len - 1)] as usize;
-                self.amps[idx] *= entries[pat];
-            }
-            i = run_end;
-        }
+    /// Panics if the support spans more than 16 qubits or the table does
+    /// not have `2^qubits.len()` entries.
+    pub fn apply_fused_diag(&mut self, diag: &FusedDiagonal, qubits: &[usize]) {
+        fused_diag(&mut self.amps, 0, &diag.entries, qubits);
     }
 
     /// Applies a fused dense block over `k <= 3` support qubits in one
@@ -443,137 +332,41 @@ impl StateVector {
     /// The block's index convention is LSB-first over `qubits` (bit `j` of
     /// a row/column index = the state of `qubits[j]`).
     ///
-    /// Registers at or above [`par_min_qubits`] are chunked across threads
-    /// by orbit range; the result is bit-identical to the serial pass.
-    ///
     /// # Panics
     ///
-    /// Panics if `block.k != qubits.len()` or `block.k > 3`.
+    /// Panics if `block.k != qubits.len()`, `block.k > 3`, or an operand
+    /// is out of range.
     pub fn apply_block(&mut self, block: &BlockUnitary, qubits: &[usize]) {
         assert_eq!(block.k, qubits.len(), "block operand count mismatch");
         assert!(block.k <= 3, "fused blocks are limited to 3 qubits");
-        let orbits = self.amps.len() >> block.k;
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
-            par::apply_block_threaded(self, block, qubits, threads);
-        } else {
-            self.apply_block_range(block, qubits, 0, orbits);
-        }
-    }
-
-    /// Applies the block to the orbits with orbit index in `lo..hi`,
-    /// monomorphised over the block width so the matvec unrolls.
-    fn apply_block_range(&mut self, block: &BlockUnitary, qubits: &[usize], lo: usize, hi: usize) {
-        match block.k {
-            1 => self.block_orbits::<1, 2>(block, qubits, lo, hi),
-            2 => self.block_orbits::<2, 4>(block, qubits, lo, hi),
-            _ => self.block_orbits::<3, 8>(block, qubits, lo, hi),
-        }
-    }
-
-    /// The dense `DIM x DIM` orbit pass (`DIM = 2^K`): gather, matvec,
-    /// scatter.
-    fn block_orbits<const K: usize, const DIM: usize>(
-        &mut self,
-        block: &BlockUnitary,
-        qubits: &[usize],
-        lo: usize,
-        hi: usize,
-    ) {
-        debug_assert_eq!(block.k, K);
-        debug_assert_eq!(1usize << K, DIM);
-        let mut sorted = [0usize; K];
-        sorted.copy_from_slice(qubits);
-        sorted.sort_unstable();
-        // offsets[l]: the basis offset of local index l from the orbit base
-        // (the OR of operand bit j for every set bit j of l).
-        let mut offsets = [0usize; DIM];
-        for (l, off) in offsets.iter_mut().enumerate() {
-            for (j, &q) in qubits.iter().enumerate() {
-                if (l >> j) & 1 == 1 {
-                    *off |= 1usize << q;
-                }
-            }
-        }
-        let mut m = [C64::ZERO; 64];
-        m[..DIM * DIM].copy_from_slice(&block.m);
-        let mut a = [C64::ZERO; DIM];
-        let amps = self.amps.as_mut_slice();
-        for k in lo..hi {
-            let mut base = k;
-            for &p in &sorted {
-                base = insert_bit(base, p);
-            }
-            debug_assert!(base | offsets[DIM - 1] < amps.len());
-            // SAFETY: `base` has zeros in every support-bit position and
-            // `base | offsets[DIM - 1]` (all support bits set) is the
-            // largest index of the orbit, below `amps.len()` for any
-            // in-range orbit index.
-            unsafe {
-                for (l, slot) in a.iter_mut().enumerate() {
-                    *slot = *amps.get_unchecked(base | offsets[l]);
-                }
-                for r in 0..DIM {
-                    let mut acc = C64::ZERO;
-                    for (c, amp) in a.iter().enumerate() {
-                        acc += m[r * DIM + c] * *amp;
-                    }
-                    *amps.get_unchecked_mut(base | offsets[r]) = acc;
-                }
-            }
-        }
+        fused_block(&mut self.amps, block, qubits);
     }
 
     /// Applies a layer of independent single-qubit unitaries — factor `j`
-    /// acts on `qubits[j]` — in one factored orbit pass: each `2^k` orbit
-    /// is loaded once, each factor rotates its amplitude pairs in
-    /// registers, and the orbit is stored once. Same arithmetic as
-    /// applying the gates separately, but one memory sweep instead of one
-    /// per gate.
-    ///
-    /// Registers at or above [`par_min_qubits`] are chunked across threads
-    /// by orbit range; the result is bit-identical to the serial pass.
+    /// acts on `qubits[j]`, on pairwise distinct qubits — in one tiled
+    /// memory sweep: each group of tiles is rotated by every factor while
+    /// it sits in cache. Same arithmetic as applying the gates separately
+    /// in ascending qubit order, but one memory sweep instead of one per
+    /// gate.
     ///
     /// # Panics
     ///
-    /// Panics if `mats.len() != qubits.len()` or the layer spans more than
-    /// 3 qubits.
+    /// Panics if `mats.len() != qubits.len()`, the layer spans more than
+    /// [`MAX_1Q_LAYER_QUBITS`] qubits, or an operand is out of range.
     pub fn apply_1q_layer(&mut self, mats: &[Mat2], qubits: &[usize]) {
         assert_eq!(mats.len(), qubits.len(), "layer factor count mismatch");
         assert!(
             !qubits.is_empty() && qubits.len() <= MAX_1Q_LAYER_QUBITS,
             "fused 1q layers are limited to {MAX_1Q_LAYER_QUBITS} qubits"
         );
-        let orbits = self.amps.len() >> qubits.len();
-        let threads = auto_threads();
-        if self.n >= par_min_qubits() && threads > 1 {
-            par::apply_1q_layer_threaded(self, mats, qubits, threads);
-        } else {
-            let (sorted, offsets) = layer_tables(qubits);
-            // SAFETY: `&mut self` gives exclusive access to the full
-            // amplitude storage, and `0..orbits` covers exactly the
-            // in-bounds orbits.
-            unsafe {
-                layer_pass_raw(self.amps.as_mut_ptr(), mats, &sorted, &offsets, 0, orbits);
-            }
-        }
+        layer(&mut self.amps, mats, qubits);
     }
 
     /// Applies the diagonal unitary `diag(c0, c1)` to qubit `q` (Z, S, T,
     /// Rz, ...): every amplitude is scaled, none move.
     pub fn apply_diagonal_1q(&mut self, c0: C64, c1: C64, q: usize) {
         debug_assert!(q < self.n);
-        let stride = 1usize << q;
-        let mut base = 0usize;
-        while base < self.amps.len() {
-            for a in &mut self.amps[base..base + stride] {
-                *a *= c0;
-            }
-            for a in &mut self.amps[base + stride..base + (stride << 1)] {
-                *a *= c1;
-            }
-            base += stride << 1;
-        }
+        diagonal_1q(&mut self.amps, 0, c0, c1, q);
     }
 
     /// Applies the anti-diagonal unitary `[[0, c0], [c1, 0]]` to qubit `q`:
@@ -581,32 +374,14 @@ impl StateVector {
     /// (new `|1>` row). X is `c0 = c1 = 1`; Y is `c0 = -i`, `c1 = i`.
     pub fn apply_antidiagonal_1q(&mut self, c0: C64, c1: C64, q: usize) {
         debug_assert!(q < self.n);
-        let bit = 1usize << q;
-        for p in 0..self.amps.len() >> 1 {
-            let i0 = insert_bit(p, q);
-            let i1 = i0 | bit;
-            let a0 = self.amps[i0];
-            let a1 = self.amps[i1];
-            self.amps[i0] = c0 * a1;
-            self.amps[i1] = c1 * a0;
-        }
+        for_pairs(&mut self.amps, 1 << q, |a0, a1| (c0 * a1, c1 * a0));
     }
 
     /// Applies CNOT as a pure index permutation: swaps each amplitude pair
     /// whose control bit is set.
     pub fn apply_cnot(&mut self, control: usize, target: usize) {
         debug_assert!(control != target && control < self.n && target < self.n);
-        let cbit = 1usize << control;
-        let tbit = 1usize << target;
-        let (p0, p1) = if control < target {
-            (control, target)
-        } else {
-            (target, control)
-        };
-        for k in 0..self.amps.len() >> 2 {
-            let i10 = insert_two_bits(k, p0, p1) | cbit;
-            self.amps.swap(i10, i10 | tbit);
-        }
+        cnot(&mut self.amps, 0, control, target);
     }
 
     /// Applies CZ: negates the amplitudes with both qubit bits set.
@@ -618,56 +393,99 @@ impl StateVector {
     /// amplitudes with both qubit bits set by `phase`.
     pub fn apply_controlled_phase(&mut self, phase: C64, a: usize, b: usize) {
         debug_assert!(a != b && a < self.n && b < self.n);
-        let both = (1usize << a) | (1usize << b);
-        let (p0, p1) = if a < b { (a, b) } else { (b, a) };
-        for k in 0..self.amps.len() >> 2 {
-            let i11 = insert_two_bits(k, p0, p1) | both;
-            self.amps[i11] *= phase;
-        }
+        controlled_phase(&mut self.amps, 0, phase, a, b);
     }
 
     /// Applies SWAP as a pure index permutation: exchanges the `|01>` and
     /// `|10>` amplitudes of each orbit.
     pub fn apply_swap(&mut self, a: usize, b: usize) {
         debug_assert!(a != b && a < self.n && b < self.n);
-        let ba = 1usize << a;
-        let bb = 1usize << b;
-        let (p0, p1) = if a < b { (a, b) } else { (b, a) };
-        for k in 0..self.amps.len() >> 2 {
-            let i00 = insert_two_bits(k, p0, p1);
-            self.amps.swap(i00 | ba, i00 | bb);
-        }
+        swap(&mut self.amps, a, b);
     }
 
     /// Applies a pre-classified kernel (see [`cqasm::GateKind::kernel`]) to
-    /// the given operands. This is the dispatch point the compiled shot
-    /// plans use: classification happens once per program, not per shot.
+    /// the given operands on the calling thread.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if operand indices are out of range or the
-    /// operand count does not match the kernel's arity.
+    /// Panics if an operand of an orbit kernel is out of range, and in
+    /// debug builds if any operand is out of range or the operand count
+    /// does not match the kernel's arity.
     pub fn apply_kernel(&mut self, kernel: &KernelClass, qubits: &[usize]) {
-        match kernel {
-            KernelClass::Identity => {}
-            KernelClass::Diagonal1q(c0, c1) => self.apply_diagonal_1q(*c0, *c1, qubits[0]),
-            KernelClass::AntiDiagonal1q(c0, c1) => self.apply_antidiagonal_1q(*c0, *c1, qubits[0]),
-            KernelClass::General1q(m) => self.apply_1q(m, qubits[0]),
-            KernelClass::Cnot => self.apply_cnot(qubits[0], qubits[1]),
-            KernelClass::Cz => self.apply_cz(qubits[0], qubits[1]),
-            KernelClass::Swap => self.apply_swap(qubits[0], qubits[1]),
-            KernelClass::ControlledPhase(p) => {
-                self.apply_controlled_phase(*p, qubits[0], qubits[1])
+        debug_assert!(qubits.iter().all(|&q| q < self.n));
+        apply_chunk(&mut self.amps, 0, kernel, qubits);
+    }
+
+    /// Applies `kernels` in order on up to `threads` threads — the
+    /// dispatch point of compiled plans.
+    ///
+    /// The state splits into `chunks` contiguous chunks, one per thread:
+    /// the largest power of two no larger than `threads` or the state. A
+    /// kernel is *chunk-local* when it moves no amplitude across the top
+    /// `log2(chunks)` qubits: a diagonal at any support, a
+    /// controlled kernel whose target lies below them (controls may sit
+    /// above), or any other kernel whose operands all lie below them.
+    /// Each maximal run of chunk-local kernels is one *segment*: a single
+    /// fork-join in which every thread drives its own chunk through the
+    /// whole run, reading the bits above the split from the chunk's base
+    /// index. Every other kernel runs on the whole state on the calling
+    /// thread between segments. With one chunk this is the serial kernel
+    /// loop.
+    ///
+    /// The result equals applying the kernels one by one with
+    /// [`StateVector::apply_kernel`], amplitude for amplitude, for any
+    /// thread count: a chunk-local kernel computes each amplitude of a
+    /// chunk from the same chunk by the same expression, so only the
+    /// executing thread changes.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`StateVector::apply_kernel`] does, or if a thread cannot
+    /// be spawned.
+    pub fn evolve<'k, I>(&mut self, kernels: I, threads: usize) -> EvolveCounts
+    where
+        I: Iterator<Item = KernelRef<'k>> + Clone + Send,
+    {
+        let split = chunk_bits(threads, self.n);
+        let width = self.n - split;
+        let mut counts = EvolveCounts::default();
+        let mut rest = kernels;
+        while let Some((kernel, qubits)) = rest.clone().next() {
+            counts.passes += 1;
+            let run = if split == 0 {
+                0
+            } else {
+                rest.clone()
+                    .take_while(|&(k, q)| chunk_local(k, q, width))
+                    .count()
+            };
+            if run == 0 {
+                apply_chunk(&mut self.amps, 0, kernel, qubits);
+                rest.next();
+                continue;
             }
-            KernelClass::General2q(m) => self.apply_2q(m, qubits[0], qubits[1]),
-            KernelClass::ControlledControlled(m) => {
-                self.apply_controlled_1q(m, &qubits[..2], qubits[2])
-            }
-            KernelClass::Fused1q(m) => self.apply_1q(m, qubits[0]),
-            KernelClass::FusedDiag(d) => self.apply_fused_diag(d, qubits),
-            KernelClass::FusedBlock(b) => self.apply_block(b, qubits),
-            KernelClass::Fused1qLayer(mats) => self.apply_1q_layer(mats, qubits),
+            counts.segments += 1;
+            let segment = rest.clone().take(run);
+            std::thread::scope(|scope| {
+                let mut chunks = self.amps.chunks_mut(1 << width).enumerate();
+                let own = chunks.next();
+                for (c, chunk) in chunks {
+                    let segment = segment.clone();
+                    scope.spawn(move || {
+                        for (k, q) in segment {
+                            apply_chunk(chunk, c << width, k, q);
+                        }
+                    });
+                }
+                if let Some((_, chunk)) = own {
+                    for (k, q) in segment {
+                        apply_chunk(chunk, 0, k, q);
+                    }
+                }
+            });
+            rest.nth(run - 1);
         }
+        counts
     }
 
     /// Multiplies the amplitude of every basis state selected by `pred` by
@@ -815,22 +633,503 @@ impl StateVector {
     }
 }
 
-/// The widest fused 1q layer the factored orbit pass accepts. Measured
-/// sweet spot: wider layers cut memory passes but each extra factor
-/// doubles the gather footprint per orbit, and past `2^4` amplitudes the
-/// strided gather (page-sized strides for high qubits) costs more than
-/// the passes it saves. The kernel itself handles widths up to 8 (see
-/// [`layer_pass_raw`]) so this cap can be retuned without code changes.
+/// The widest fused 1q layer the plan builds. The tiled layer pass
+/// ([`layer`]) handles any width and does the same arithmetic as separate
+/// passes, so width only trades the passes saved against the tiles a
+/// group keeps in cache.
 pub const MAX_1Q_LAYER_QUBITS: usize = 4;
 
-/// Precomputes the sorted support and the orbit-local offset table for a
-/// 1q layer: `offsets[l]` is the basis offset of local index `l` from the
-/// orbit base (the OR of operand bit `j` for every set bit `j` of `l`).
-fn layer_tables(qubits: &[usize]) -> (Vec<usize>, Vec<usize>) {
-    let mut sorted: Vec<usize> = qubits.to_vec();
+/// Amplitudes per tile of the 1q-layer pass, as a power of two (8 KiB of
+/// state): with up to two factors above the tile a group of tiles fits in
+/// L1, with four in L2. Measured against 8 and 10 at 20 qubits: no better.
+const LAYER_TILE_BITS: usize = 9;
+
+/// Whether `kernel` on `qubits` moves no amplitude across qubit `width`
+/// or above, so that it can run on each `2^width`-amplitude chunk of the
+/// state separately (see [`StateVector::evolve`]).
+fn chunk_local(kernel: &KernelClass, qubits: &[usize], width: usize) -> bool {
+    match kernel {
+        KernelClass::Identity
+        | KernelClass::Diagonal1q(..)
+        | KernelClass::Cz
+        | KernelClass::ControlledPhase(_)
+        | KernelClass::FusedDiag(_) => true,
+        KernelClass::Cnot => qubits[1] < width,
+        KernelClass::ControlledControlled(_) => qubits[2] < width,
+        _ => qubits.iter().all(|&q| q < width),
+    }
+}
+
+/// Applies `kernel` on `qubits` to `amps`: the whole state (`base == 0`)
+/// or one chunk of it, whose first amplitude has basis index `base`, a
+/// multiple of `amps.len()` (a power of two). The kernel must be
+/// chunk-local for the chunk (see [`chunk_local`]); a diagonal operand or
+/// control at or above the chunk's width takes its bit from `base`.
+fn apply_chunk(amps: &mut [C64], base: usize, kernel: &KernelClass, qubits: &[usize]) {
+    match kernel {
+        KernelClass::Identity => {}
+        KernelClass::Diagonal1q(c0, c1) => diagonal_1q(amps, base, *c0, *c1, qubits[0]),
+        KernelClass::AntiDiagonal1q(c0, c1) => {
+            let (c0, c1) = (*c0, *c1);
+            for_pairs(amps, 1 << qubits[0], |a0, a1| (c0 * a1, c1 * a0));
+        }
+        KernelClass::General1q(m) | KernelClass::Fused1q(m) => one_q(amps, m, qubits[0]),
+        KernelClass::Cnot => cnot(amps, base, qubits[0], qubits[1]),
+        KernelClass::Cz => controlled_phase(amps, base, -C64::ONE, qubits[0], qubits[1]),
+        KernelClass::ControlledPhase(p) => controlled_phase(amps, base, *p, qubits[0], qubits[1]),
+        KernelClass::Swap => swap(amps, qubits[0], qubits[1]),
+        KernelClass::General2q(m) => two_q(amps, m, qubits[0], qubits[1]),
+        KernelClass::ControlledControlled(m) => {
+            controlled_1q(amps, base, m, &qubits[..2], qubits[2])
+        }
+        KernelClass::FusedDiag(d) => fused_diag(amps, base, &d.entries, qubits),
+        KernelClass::FusedBlock(b) => fused_block(amps, b, qubits),
+        KernelClass::Fused1qLayer(mats) => layer(amps, mats, qubits),
+    }
+}
+
+/// Replaces every amplitude pair `(i, i | bit)` with `f` of it, walking
+/// the slice in `2 * bit` blocks with no index arithmetic.
+#[inline(always)]
+fn for_pairs(amps: &mut [C64], bit: usize, f: impl Fn(C64, C64) -> (C64, C64)) {
+    match bit {
+        1 => {
+            for p in amps.chunks_exact_mut(2) {
+                if let [a0, a1] = p {
+                    (*a0, *a1) = f(*a0, *a1);
+                }
+            }
+        }
+        2 => {
+            for p in amps.chunks_exact_mut(4) {
+                if let [a0, b0, a1, b1] = p {
+                    (*a0, *a1) = f(*a0, *a1);
+                    (*b0, *b1) = f(*b0, *b1);
+                }
+            }
+        }
+        _ => {
+            for block in amps.chunks_exact_mut(bit << 1) {
+                let (lo, hi) = block.split_at_mut(bit);
+                zip_pairs(lo, hi, &f);
+            }
+        }
+    }
+}
+
+/// The pair loop of [`for_pairs`] over one block (and of a layer's
+/// factor across two tiles), kept out of line: as the parameters of a
+/// call, the compiler knows `lo` and `hi` do not overlap and vectorizes
+/// scalar pair code (the real rotation) without runtime overlap checks;
+/// for pairs 1 or 2 apart [`for_pairs`] walks small fixed blocks instead,
+/// where the call would cost more than it saves.
+#[inline(never)]
+fn zip_pairs(lo: &mut [C64], hi: &mut [C64], f: &impl Fn(C64, C64) -> (C64, C64)) {
+    for (a0, a1) in lo.iter_mut().zip(hi) {
+        (*a0, *a1) = f(*a0, *a1);
+    }
+}
+
+/// `m` on qubit `q`.
+fn one_q(amps: &mut [C64], m: &Mat2, q: usize) {
+    Rotation::of(m).in_place(amps, 1 << q);
+}
+
+/// A 2x2 unitary on amplitude pairs, classified once by the arithmetic it
+/// needs. Real entries (H, Ry, X) and a real diagonal with an imaginary
+/// off-diagonal (Rx) skip the products with their zero parts, which
+/// changes at most the sign of a zero amplitude component.
+#[derive(Clone, Copy)]
+enum Rotation {
+    /// `[[r00, r01], [r10, r11]]`, as `[r00, r01, r10, r11]`.
+    Real([f64; 4]),
+    /// `[[r00, i*x01], [i*x10, r11]]`, as `[r00, x01, x10, r11]`.
+    RealImag([f64; 4]),
+    Complex(Mat2),
+}
+
+impl Rotation {
+    fn of(m: &Mat2) -> Self {
+        let [[m00, m01], [m10, m11]] = m.0;
+        if [m00, m01, m10, m11].iter().all(|c| c.im == 0.0) {
+            Rotation::Real([m00.re, m01.re, m10.re, m11.re])
+        } else if m00.im == 0.0 && m11.im == 0.0 && m01.re == 0.0 && m10.re == 0.0 {
+            Rotation::RealImag([m00.re, m01.im, m10.im, m11.re])
+        } else {
+            Rotation::Complex(*m)
+        }
+    }
+
+    /// Rotates every pair `(i, i | bit)` of `amps`.
+    fn in_place(self, amps: &mut [C64], bit: usize) {
+        match self {
+            Rotation::Real(r) => for_pairs(amps, bit, real_pair(r)),
+            Rotation::RealImag(r) => for_pairs(amps, bit, real_imag_pair(r)),
+            Rotation::Complex(m) => for_pairs(amps, bit, complex_pair(m)),
+        }
+    }
+
+    /// Rotates every pair `(lo[i], hi[i])`.
+    fn across(self, lo: &mut [C64], hi: &mut [C64]) {
+        match self {
+            Rotation::Real(r) => zip_pairs(lo, hi, &real_pair(r)),
+            Rotation::RealImag(r) => zip_pairs(lo, hi, &real_imag_pair(r)),
+            Rotation::Complex(m) => zip_pairs(lo, hi, &complex_pair(m)),
+        }
+    }
+}
+
+#[inline(always)]
+fn real_pair([r00, r01, r10, r11]: [f64; 4]) -> impl Fn(C64, C64) -> (C64, C64) {
+    move |a0, a1| {
+        (
+            C64::new(r00 * a0.re + r01 * a1.re, r00 * a0.im + r01 * a1.im),
+            C64::new(r10 * a0.re + r11 * a1.re, r10 * a0.im + r11 * a1.im),
+        )
+    }
+}
+
+/// `i * x * b = (-x * b.im, x * b.re)`, so each output is
+/// `[r, r] * a + [-x, x] * swap(b)` (see [`dot`]).
+#[inline(always)]
+fn real_imag_pair([r00, x01, x10, r11]: [f64; 4]) -> impl Fn(C64, C64) -> (C64, C64) {
+    let (d0, s0) = (C64::new(r00, r00), C64::new(-x01, x01));
+    let (d1, s1) = (C64::new(r11, r11), C64::new(-x10, x10));
+    move |a0, a1| (dot(d0, a0, s0, a1), dot(d1, a1, s1, a0))
+}
+
+#[inline(always)]
+fn complex_pair(m: Mat2) -> impl Fn(C64, C64) -> (C64, C64) {
+    let [[m00, m01], [m10, m11]] = m.0.map(|row| row.map(factor));
+    move |a0, a1| {
+        (
+            times(m00, a0) + times(m01, a1),
+            times(m10, a0) + times(m11, a1),
+        )
+    }
+}
+
+/// `c` as the two operands of [`times`]: `[c.re, c.re]` and `[-c.im, c.im]`.
+fn factor(c: C64) -> [C64; 2] {
+    [C64::new(c.re, c.re), C64::new(-c.im, c.im)]
+}
+
+/// `c * a` for `f = factor(c)`, component for component the same
+/// expression as `C64`'s product.
+#[inline(always)]
+fn times([d, s]: [C64; 2], a: C64) -> C64 {
+    dot(d, a, s, a)
+}
+
+/// Multiplies each amplitude by its factor (see [`factor`]).
+fn scale(amps: &mut [C64], factors: &[[C64; 2]]) {
+    for (a, &f) in amps.iter_mut().zip(factors) {
+        *a = times(f, *a);
+    }
+}
+
+/// `d * a + s * swap(b)`, lane by lane (`swap` exchanges the real and
+/// imaginary parts), the one product of the Rx-type and complex rotations
+/// and the fused diagonal. On x86_64 it is SSE2 (the baseline there), with
+/// each amplitude one `[re, im]` register: the compiler's vectorization of
+/// the scalar loops splits and re-joins real and imaginary parts instead,
+/// two shuffles per amplitude against one swap. In cache those loops
+/// measured 0.46–0.70 against 0.67–0.86 ns per amplitude (Rx type),
+/// 0.90–1.05 against 1.10–1.46 (complex) and 0.60–0.67 against 0.95–1.15
+/// (diagonal). The lanes compute the scalar expression, so results are
+/// identical.
+#[inline(always)]
+fn dot(d: C64, a: C64, s: C64, b: C64) -> C64 {
+    #[cfg(target_arch = "x86_64")]
+    // SAFETY: SSE2 is part of the x86_64 baseline.
+    return unsafe { sse2_dot(d, a, s, b) };
+    #[cfg(not(target_arch = "x86_64"))]
+    return C64::new(d.re * a.re + s.re * b.im, d.im * a.im + s.im * b.re);
+}
+
+/// [`dot`] in SSE2.
+#[cfg(target_arch = "x86_64")]
+#[inline]
+#[target_feature(enable = "sse2")]
+fn sse2_dot(d: C64, a: C64, s: C64, b: C64) -> C64 {
+    use std::arch::x86_64::{_mm_add_pd, _mm_cvtsd_f64, _mm_mul_pd, _mm_set_pd, _mm_unpackhi_pd};
+    let v = |c: C64| _mm_set_pd(c.im, c.re);
+    let r = _mm_add_pd(
+        _mm_mul_pd(v(d), v(a)),
+        _mm_mul_pd(v(s), _mm_set_pd(b.re, b.im)),
+    );
+    C64::new(_mm_cvtsd_f64(r), _mm_cvtsd_f64(_mm_unpackhi_pd(r, r)))
+}
+
+/// Every submask of `mask`, in increasing order from `0`.
+fn submasks(mask: usize) -> impl Iterator<Item = usize> {
+    std::iter::successors(Some(0usize), move |&s| {
+        let next = s.wrapping_sub(mask) & mask;
+        (next != 0).then_some(next)
+    })
+}
+
+/// `diag(c0, c1)` on qubit `q`; at or above the chunk's width the whole
+/// chunk takes the one factor its base selects.
+fn diagonal_1q(amps: &mut [C64], base: usize, c0: C64, c1: C64, q: usize) {
+    let bit = 1usize << q;
+    if bit >= amps.len() {
+        let c = if base & bit == 0 { c0 } else { c1 };
+        amps.iter_mut().for_each(|a| *a *= c);
+        return;
+    }
+    for block in amps.chunks_exact_mut(bit << 1) {
+        let (lo, hi) = block.split_at_mut(bit);
+        lo.iter_mut().for_each(|a| *a *= c0);
+        hi.iter_mut().for_each(|a| *a *= c1);
+    }
+}
+
+/// Multiplies the amplitudes with both qubit bits `a` and `b` set by `p`.
+/// An operand at or above the chunk's width is fixed by `base`: clear, it
+/// leaves the chunk untouched; set, it drops out.
+fn controlled_phase(amps: &mut [C64], base: usize, p: C64, a: usize, b: usize) {
+    let len = amps.len();
+    let (lo, hi) = if a < b {
+        (1usize << a, 1usize << b)
+    } else {
+        (1usize << b, 1usize << a)
+    };
+    let scale_upper = |amps: &mut [C64], bit: usize| {
+        for block in amps.chunks_exact_mut(bit << 1) {
+            block[bit..].iter_mut().for_each(|x| *x *= p);
+        }
+    };
+    if hi < len {
+        for block in amps.chunks_exact_mut(hi << 1) {
+            scale_upper(&mut block[hi..], lo);
+        }
+    } else if base & hi != 0 {
+        if lo < len {
+            scale_upper(amps, lo);
+        } else if base & lo != 0 {
+            amps.iter_mut().for_each(|x| *x *= p);
+        }
+    }
+}
+
+/// Swaps the `bit`-clear and `bit`-set halves of every `2 * bit` block:
+/// an X permutation on that qubit.
+fn swap_halves(amps: &mut [C64], bit: usize) {
+    for block in amps.chunks_exact_mut(bit << 1) {
+        let (lo, hi) = block.split_at_mut(bit);
+        lo.swap_with_slice(hi);
+    }
+}
+
+/// CNOT as a permutation: swaps each target pair whose control bit is
+/// set. A control at or above the chunk's width is fixed by `base`.
+fn cnot(amps: &mut [C64], base: usize, control: usize, target: usize) {
+    let (c, t) = (1usize << control, 1usize << target);
+    if c >= amps.len() {
+        if base & c != 0 {
+            swap_halves(amps, t);
+        }
+    } else if c > t {
+        for block in amps.chunks_exact_mut(c << 1) {
+            swap_halves(&mut block[c..], t);
+        }
+    } else {
+        for block in amps.chunks_exact_mut(t << 1) {
+            let (lo, hi) = block.split_at_mut(t);
+            for (x, y) in lo.chunks_exact_mut(c << 1).zip(hi.chunks_exact_mut(c << 1)) {
+                x[c..].swap_with_slice(&mut y[c..]);
+            }
+        }
+    }
+}
+
+/// SWAP as a permutation: exchanges the `|01>` and `|10>` amplitudes of
+/// each orbit.
+fn swap(amps: &mut [C64], a: usize, b: usize) {
+    let (lo, hi) = if a < b {
+        (1usize << a, 1usize << b)
+    } else {
+        (1usize << b, 1usize << a)
+    };
+    for block in amps.chunks_exact_mut(hi << 1) {
+        let (h0, h1) = block.split_at_mut(hi);
+        for (x, y) in h0
+            .chunks_exact_mut(lo << 1)
+            .zip(h1.chunks_exact_mut(lo << 1))
+        {
+            x[lo..].swap_with_slice(&mut y[..lo]);
+        }
+    }
+}
+
+/// A general two-qubit unitary ([`Mat4`] puts the first operand in the
+/// high bit), enumerating the four-element orbits directly.
+fn two_q(amps: &mut [C64], m: &Mat4, q_hi: usize, q_lo: usize) {
+    let (bh, bl) = (1usize << q_hi, 1usize << q_lo);
+    let (p0, p1) = (q_hi.min(q_lo), q_hi.max(q_lo));
+    for k in 0..amps.len() >> 2 {
+        let i00 = insert_bit(insert_bit(k, p0), p1);
+        let orbit = [i00, i00 | bl, i00 | bh, i00 | bh | bl];
+        let a = orbit.map(|i| amps[i]);
+        for (row, i) in m.0.iter().zip(orbit) {
+            amps[i] = row[0] * a[0] + row[1] * a[1] + row[2] * a[2] + row[3] * a[3];
+        }
+    }
+}
+
+/// Panics unless every operand lies below the width of `amps`: the orbit
+/// bodies index without bounds checks, and this once-per-call check is
+/// what keeps every orbit index inside the slice.
+fn assert_operands_in_range(amps: &[C64], qubits: &[usize]) {
+    assert!(
+        qubits.iter().all(|&q| q < 64 && (1usize << q) < amps.len()),
+        "kernel operands {qubits:?} out of range for {} amplitudes",
+        amps.len()
+    );
+}
+
+/// `m` on `target` where every control is set: the pairs are enumerated
+/// by inserting the fixed control and target bits into a compressed
+/// counter. A control at or above the chunk's width is fixed by `base`.
+fn controlled_1q(amps: &mut [C64], base: usize, m: &Mat2, controls: &[usize], target: usize) {
+    assert_operands_in_range(amps, &[target]);
+    let tbit = 1usize << target;
+    let mut ones = 0usize;
+    for &c in controls {
+        let bit = 1usize << c;
+        if bit < amps.len() {
+            ones |= bit;
+        } else if base & bit == 0 {
+            return;
+        }
+    }
+    debug_assert_eq!(ones & tbit, 0, "control aliases the target");
+    let fixed = ones | tbit;
+    let [[m00, m01], [m10, m11]] = m.0;
+    for k in 0..amps.len() >> fixed.count_ones() {
+        let mut i0 = k;
+        let mut rest = fixed;
+        while rest != 0 {
+            i0 = insert_bit(i0, rest.trailing_zeros() as usize);
+            rest &= rest - 1;
+        }
+        i0 |= ones;
+        let i1 = i0 | tbit;
+        // SAFETY: every fixed bit lies below the slice width, so
+        // depositing `k < len >> fixed.count_ones()` around them and
+        // setting them keeps `i0` and `i1` below `amps.len()`.
+        unsafe {
+            let a0 = *amps.get_unchecked(i0);
+            let a1 = *amps.get_unchecked(i1);
+            *amps.get_unchecked_mut(i0) = m00 * a0 + m01 * a1;
+            *amps.get_unchecked_mut(i1) = m10 * a0 + m11 * a1;
+        }
+    }
+}
+
+/// Scales each amplitude by its fused-diagonal entry (bit `j` of the
+/// table index = the state of `qubits[j]`; a qubit at or above the chunk's
+/// width reads its bit from `base`). The slice is walked in runs of `2^l`
+/// amplitudes, `l` the largest value up to 10 whose rows hold at most a
+/// sixteenth as many entries as the slice: every run whose support bits
+/// at or above `l` agree takes the same row of `2^l` entries, so each row
+/// is gathered once and then multiplied into its runs as a plain
+/// contiguous product. A batch of controlled phases is the identity
+/// wherever a control is clear, so a row of exact ones leaves its runs
+/// untouched, and a row that is one wherever its lowest support qubit
+/// from 2 up is clear multiplies only the other half of each run (below
+/// qubit 2 both halves share cache lines, so skipping one saves no
+/// memory traffic).
+fn fused_diag(amps: &mut [C64], base: usize, entries: &[C64], qubits: &[usize]) {
+    const ROW_BITS_MAX: usize = 10;
+    // Plans cap the support at MAX_FUSED_DIAG_QUBITS = 12; checking the
+    // count first also keeps the shift from wrapping.
+    assert!(
+        qubits.len() <= 16 && entries.len() == 1usize << qubits.len(),
+        "diagonal table size mismatch"
+    );
+    let width = amps.len().trailing_zeros() as usize;
+    let inside = |l: usize| qubits.iter().filter(move |&&q| l <= q && q < width);
+    let cap = ROW_BITS_MAX.min(width);
+    let l = (0..=cap)
+        .rev()
+        .find(|&l| l + inside(l).count() + 4 <= width)
+        .unwrap_or(cap);
+    let pattern = |index: usize| {
+        qubits
+            .iter()
+            .enumerate()
+            .fold(0usize, |pat, (j, &q)| pat | (((index >> q) & 1) << j))
+    };
+    // Sized to the row: zeroing fixed 2^ROW_BITS_MAX buffers on every
+    // call cost more than the whole sweep of a small state.
+    let low: Vec<usize> = (0..1 << l).map(pattern).collect();
+    let mut row = vec![C64::ZERO; 1 << l];
+    let mut factors = vec![[C64::ZERO; 2]; 1 << l];
+    let lowest = qubits
+        .iter()
+        .copied()
+        .filter(|&q| (2..l).contains(&q))
+        .min();
+    let keyed = inside(l).fold(0usize, |mask, &q| mask | (1 << (q - l)));
+    let free = ((amps.len() >> l) - 1) & !keyed;
+    for key in submasks(keyed) {
+        let high = pattern(base | (key << l));
+        for (e, &pat) in row.iter_mut().zip(low.iter()) {
+            *e = entries[high | pat];
+        }
+        if row.iter().all(|&e| e == C64::ONE) {
+            continue;
+        }
+        // The half block of each run the row can change: the upper half
+        // of every `2^(q+1)` block when the row is one on the lower half.
+        let half = lowest.filter(|&q| {
+            row.chunks_exact(2 << q)
+                .all(|b| b[..1 << q].iter().all(|&e| e == C64::ONE))
+        });
+        for (f, &e) in factors.iter_mut().zip(&row) {
+            *f = factor(e);
+        }
+        for rest in submasks(free) {
+            let run = &mut amps[(key | rest) << l..][..1 << l];
+            match half {
+                Some(q) => {
+                    for (b, f) in run
+                        .chunks_exact_mut(2 << q)
+                        .zip(factors.chunks_exact(2 << q))
+                    {
+                        scale(&mut b[1 << q..], &f[1 << q..]);
+                    }
+                }
+                None => scale(run, &factors),
+            }
+        }
+    }
+}
+
+/// A fused block, monomorphised over its width so the matvec unrolls.
+fn fused_block(amps: &mut [C64], block: &BlockUnitary, qubits: &[usize]) {
+    match block.k {
+        1 => block_orbits::<1, 2>(amps, &block.m, qubits),
+        2 => block_orbits::<2, 4>(amps, &block.m, qubits),
+        _ => block_orbits::<3, 8>(amps, &block.m, qubits),
+    }
+}
+
+/// The orbit-local offset table of a `DIM`-amplitude orbit (`DIM = 2^K`):
+/// `offsets[l]` is the basis offset of local index `l` from the orbit
+/// base (the OR of operand bit `j` for every set bit `j` of `l`), and
+/// the sorted operands the orbit index expands around.
+fn orbit_tables<const K: usize, const DIM: usize>(
+    amps: &[C64],
+    qubits: &[usize],
+) -> ([usize; K], [usize; DIM]) {
+    assert_operands_in_range(amps, qubits);
+    let mut sorted = [0usize; K];
+    sorted.copy_from_slice(qubits);
     sorted.sort_unstable();
-    let dim = 1usize << qubits.len();
-    let mut offsets = vec![0usize; dim];
+    let mut offsets = [0usize; DIM];
     for (l, off) in offsets.iter_mut().enumerate() {
         for (j, &q) in qubits.iter().enumerate() {
             if (l >> j) & 1 == 1 {
@@ -841,428 +1140,69 @@ fn layer_tables(qubits: &[usize]) -> (Vec<usize>, Vec<usize>) {
     (sorted, offsets)
 }
 
-/// The factored 1q-layer orbit pass over raw amplitude storage: each orbit
-/// in `lo..hi` is gathered into an L1-resident buffer, every factor
-/// rotates its amplitude pairs in the buffer (branchless strided walk),
-/// and the orbit is scattered back — the same arithmetic as applying the
-/// gates separately, in one memory sweep.
-///
-/// # Safety
-///
-/// `amps` must point to storage containing every basis index `base |
-/// offsets[l]` reachable from an orbit index in `lo..hi`, and the caller
-/// must have exclusive access to those indices (disjoint orbit ranges on
-/// disjoint workers are fine).
-unsafe fn layer_pass_raw(
-    amps: *mut C64,
-    mats: &[Mat2],
-    sorted: &[usize],
-    offsets: &[usize],
-    lo: usize,
-    hi: usize,
-) {
-    // Monomorphize per width so the factor loop unrolls into fixed-stride
-    // passes the compiler can vectorize.
-    match mats.len() {
-        1 => layer_orbits::<1, 2>(amps, mats, sorted, offsets, lo, hi),
-        2 => layer_orbits::<2, 4>(amps, mats, sorted, offsets, lo, hi),
-        3 => layer_orbits::<3, 8>(amps, mats, sorted, offsets, lo, hi),
-        4 => layer_orbits::<4, 16>(amps, mats, sorted, offsets, lo, hi),
-        5 => layer_orbits::<5, 32>(amps, mats, sorted, offsets, lo, hi),
-        6 => layer_orbits::<6, 64>(amps, mats, sorted, offsets, lo, hi),
-        7 => layer_orbits::<7, 128>(amps, mats, sorted, offsets, lo, hi),
-        8 => layer_orbits::<8, 256>(amps, mats, sorted, offsets, lo, hi),
-        k => unreachable!("fused 1q layer width {k} exceeds {MAX_1Q_LAYER_QUBITS}"),
-    }
-}
-
-/// The width-`K` instantiation of the layer pass (`DIM` must be `2^K`).
-///
-/// # Safety
-///
-/// Same contract as [`layer_pass_raw`], plus `mats`/`sorted` must hold
-/// exactly `K` entries and `offsets` exactly `DIM`.
-unsafe fn layer_orbits<const K: usize, const DIM: usize>(
-    amps: *mut C64,
-    mats: &[Mat2],
-    sorted: &[usize],
-    offsets: &[usize],
-    lo: usize,
-    hi: usize,
-) {
-    let mut m = [[[C64::ZERO; 2]; 2]; K];
-    for (slot, mat) in m.iter_mut().zip(mats) {
-        *slot = mat.0;
-    }
-    let mut sp = [0usize; K];
-    sp.copy_from_slice(&sorted[..K]);
-    let mut off = [0usize; DIM];
-    off.copy_from_slice(&offsets[..DIM]);
-    let mut buf = [C64::ZERO; DIM];
-    for orbit in lo..hi {
-        let mut base = orbit;
-        for &p in sp.iter() {
+/// The dense `DIM x DIM` orbit pass (`DIM = 2^K`, `m` row-major and
+/// LSB-first over `qubits`): gather, matvec, scatter.
+fn block_orbits<const K: usize, const DIM: usize>(amps: &mut [C64], m: &[C64], qubits: &[usize]) {
+    let (sorted, offsets) = orbit_tables::<K, DIM>(amps, qubits);
+    let mut mm = [C64::ZERO; 64];
+    mm[..DIM * DIM].copy_from_slice(m);
+    let mut a = [C64::ZERO; DIM];
+    for k in 0..amps.len() >> K {
+        let mut base = k;
+        for &p in &sorted {
             base = insert_bit(base, p);
         }
-        for l in 0..DIM {
-            *buf.get_unchecked_mut(l) = *amps.add(base | *off.get_unchecked(l));
-        }
-        for (j, [[m00, m01], [m10, m11]]) in m.into_iter().enumerate() {
-            let bit = 1usize << j;
-            let mut b = 0usize;
-            while b < DIM {
-                for l in b..b + bit {
-                    let x = *buf.get_unchecked(l);
-                    let y = *buf.get_unchecked(l | bit);
-                    *buf.get_unchecked_mut(l) = m00 * x + m01 * y;
-                    *buf.get_unchecked_mut(l | bit) = m10 * x + m11 * y;
-                }
-                b += bit << 1;
+        // SAFETY: `base` has zeros at every operand position and the
+        // operands lie below the slice width (asserted by
+        // `orbit_tables`), so `base | offsets[l] < amps.len()` for every
+        // orbit index `k < amps.len() >> K`.
+        unsafe {
+            for (l, slot) in a.iter_mut().enumerate() {
+                *slot = *amps.get_unchecked(base | offsets[l]);
             }
-        }
-        for l in 0..DIM {
-            *amps.add(base | *off.get_unchecked(l)) = *buf.get_unchecked(l);
+            for r in 0..DIM {
+                let mut acc = C64::ZERO;
+                for (c, amp) in a.iter().enumerate() {
+                    acc += mm[r * DIM + c] * *amp;
+                }
+                *amps.get_unchecked_mut(base | offsets[r]) = acc;
+            }
         }
     }
 }
 
-/// Chunk-parallel dense kernels over `std::thread::scope`.
-///
-/// Each worker owns a disjoint range of *orbit indices*; since the orbit
-/// index ↔ basis indices mapping is a bijection, no two workers ever touch
-/// the same amplitude, and because every orbit's update is the same
-/// floating-point expression regardless of which thread runs it, the result
-/// is bit-identical to the serial kernels for any thread count.
-///
-/// (The project vendors no `rayon`; scoped threads give the same chunked
-/// fork-join shape with zero dependencies.)
-pub mod par {
-    use super::{insert_bit, insert_two_bits, StateVector};
-    use cqasm::math::{Mat2, Mat4, C64};
-    use cqasm::{BlockUnitary, FusedDiagonal};
-
-    /// A raw amplitude pointer that may cross thread boundaries. Safety is
-    /// argued at each use site: workers write disjoint index sets.
-    struct AmpsPtr(*mut cqasm::math::C64);
-    unsafe impl Send for AmpsPtr {}
-    unsafe impl Sync for AmpsPtr {}
-
-    /// [`StateVector::apply_1q`] with the amplitude pairs split across
-    /// `threads` workers. Exposed so tests can force a thread count on
-    /// registers below the automatic threshold.
-    pub fn apply_1q_threaded(state: &mut StateVector, m: &Mat2, q: usize, threads: usize) {
-        let pairs = state.amps.len() >> 1;
-        let threads = threads.clamp(1, pairs.max(1));
-        if threads <= 1 {
-            state.apply_1q_range(m, q, 0, pairs);
-            return;
-        }
-        let bit = 1usize << q;
-        let [[m00, m01], [m10, m11]] = m.0;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = pairs * t / threads;
-                let hi = pairs * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    for p in lo..hi {
-                        let i0 = insert_bit(p, q);
-                        let i1 = i0 | bit;
-                        // SAFETY: `p -> (i0, i1)` is injective with disjoint
-                        // images across pair indices, and the `lo..hi`
-                        // ranges partition `0..pairs`, so no other worker
-                        // reads or writes these two amplitudes.
-                        unsafe {
-                            let a0 = *base.add(i0);
-                            let a1 = *base.add(i1);
-                            *base.add(i0) = m00 * a0 + m01 * a1;
-                            *base.add(i1) = m10 * a0 + m11 * a1;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_2q`] with the four-element orbits split across
-    /// `threads` workers. Exposed so tests can force a thread count on
-    /// registers below the automatic threshold.
-    pub fn apply_2q_threaded(
-        state: &mut StateVector,
-        m: &Mat4,
-        q_hi: usize,
-        q_lo: usize,
-        threads: usize,
-    ) {
-        let orbits = state.amps.len() >> 2;
-        let threads = threads.clamp(1, orbits.max(1));
-        if threads <= 1 {
-            state.apply_2q_range(m, q_hi, q_lo, 0, orbits);
-            return;
-        }
-        let bh = 1usize << q_hi;
-        let bl = 1usize << q_lo;
-        let (p0, p1) = if q_hi < q_lo {
-            (q_hi, q_lo)
-        } else {
-            (q_lo, q_hi)
-        };
-        let mm = m.0;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = orbits * t / threads;
-                let hi = orbits * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    for k in lo..hi {
-                        let i00 = insert_two_bits(k, p0, p1);
-                        let i01 = i00 | bl;
-                        let i10 = i00 | bh;
-                        let i11 = i00 | bh | bl;
-                        // SAFETY: orbit index `k` maps to four basis indices
-                        // disjoint from every other orbit's, and the
-                        // `lo..hi` ranges partition `0..orbits`.
-                        unsafe {
-                            let a0 = *base.add(i00);
-                            let a1 = *base.add(i01);
-                            let a2 = *base.add(i10);
-                            let a3 = *base.add(i11);
-                            *base.add(i00) =
-                                mm[0][0] * a0 + mm[0][1] * a1 + mm[0][2] * a2 + mm[0][3] * a3;
-                            *base.add(i01) =
-                                mm[1][0] * a0 + mm[1][1] * a1 + mm[1][2] * a2 + mm[1][3] * a3;
-                            *base.add(i10) =
-                                mm[2][0] * a0 + mm[2][1] * a1 + mm[2][2] * a2 + mm[2][3] * a3;
-                            *base.add(i11) =
-                                mm[3][0] * a0 + mm[3][1] * a1 + mm[3][2] * a2 + mm[3][3] * a3;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_controlled_1q`] with the fixed-bit orbit pairs
-    /// split across `threads` workers. Exposed so tests can force a thread
-    /// count on registers below the automatic threshold.
-    pub fn apply_controlled_1q_threaded(
-        state: &mut StateVector,
-        m: &Mat2,
-        controls: &[usize],
-        target: usize,
-        threads: usize,
-    ) {
-        let mut fixed: Vec<(usize, usize)> = controls.iter().map(|&c| (c, 1)).collect();
-        fixed.push((target, 0));
-        fixed.sort_unstable();
-        let pairs = state.amps.len() >> fixed.len();
-        let threads = threads.clamp(1, pairs.max(1));
-        if threads <= 1 {
-            state.apply_controlled_1q_range(m, &fixed, target, 0, pairs);
-            return;
-        }
-        let tbit = 1usize << target;
-        let [[m00, m01], [m10, m11]] = m.0;
-        let fixed = &fixed;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = pairs * t / threads;
-                let hi = pairs * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    for k in lo..hi {
-                        let mut i0 = k;
-                        for &(pos, val) in fixed {
-                            i0 = ((i0 >> pos) << (pos + 1))
-                                | (val << pos)
-                                | (i0 & ((1usize << pos) - 1));
-                        }
-                        let i1 = i0 | tbit;
-                        // SAFETY: the fixed-bit expansion is injective with
-                        // disjoint `(i0, i1)` images across pair indices,
-                        // and `lo..hi` ranges partition `0..pairs`.
-                        unsafe {
-                            let a0 = *base.add(i0);
-                            let a1 = *base.add(i1);
-                            *base.add(i0) = m00 * a0 + m01 * a1;
-                            *base.add(i1) = m10 * a0 + m11 * a1;
-                        }
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_fused_diag`] with the amplitude range split
-    /// across `threads` workers. Exposed so tests can force a thread count
-    /// on registers below the automatic threshold.
-    pub fn apply_fused_diag_threaded(
-        state: &mut StateVector,
-        diag: &FusedDiagonal,
-        qubits: &[usize],
-        threads: usize,
-    ) {
-        let len = state.amps.len();
-        let threads = threads.clamp(1, len.max(1));
-        if threads <= 1 {
-            state.apply_fused_diag_range(&diag.entries, qubits, 0, len);
-            return;
-        }
-        let entries = &diag.entries;
-        // Same low-bits pattern table as the serial pass (see
-        // `apply_fused_diag_range`), built once and shared by the workers.
-        const LOW_BITS_MAX: usize = 11;
-        let split = state.n.min(LOW_BITS_MAX);
-        let low_len = 1usize << split;
-        let mut low_table = vec![0u16; low_len];
-        for (low_bits, slot) in low_table.iter_mut().enumerate() {
-            let mut pat = 0usize;
-            for (j, &q) in qubits.iter().enumerate() {
-                if q < split {
-                    pat |= ((low_bits >> q) & 1) << j;
-                }
-            }
-            *slot = pat as u16;
-        }
-        let low_table = &low_table;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = len * t / threads;
-                let hi = len * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base = amps.0;
-                    let mut i = lo;
-                    while i < hi {
-                        let mut high_pat = 0usize;
-                        for (j, &q) in qubits.iter().enumerate() {
-                            if q >= split {
-                                high_pat |= ((i >> q) & 1) << j;
-                            }
-                        }
-                        let run_end = hi.min((i | (low_len - 1)) + 1);
-                        for idx in i..run_end {
-                            let pat = high_pat | low_table[idx & (low_len - 1)] as usize;
-                            // SAFETY: each worker touches only its own
-                            // `lo..hi` amplitude range; the ranges
-                            // partition `0..len`.
-                            unsafe {
-                                *base.add(idx) *= entries[pat];
-                            }
-                        }
-                        i = run_end;
-                    }
-                });
-            }
-        });
-    }
-
-    /// [`StateVector::apply_block`] with the `2^k`-element orbits split
-    /// across `threads` workers. Exposed so tests can force a thread count
-    /// on registers below the automatic threshold.
-    pub fn apply_block_threaded(
-        state: &mut StateVector,
-        block: &BlockUnitary,
-        qubits: &[usize],
-        threads: usize,
-    ) {
-        let orbits = state.amps.len() >> block.k;
-        let threads = threads.clamp(1, orbits.max(1));
-        if threads <= 1 {
-            state.apply_block_range(block, qubits, 0, orbits);
-            return;
-        }
-        let dim = block.dim();
-        let mut sorted: Vec<usize> = qubits.to_vec();
-        sorted.sort_unstable();
-        let mut offsets = [0usize; 8];
-        for (l, off) in offsets.iter_mut().enumerate().take(dim) {
-            for (j, &q) in qubits.iter().enumerate() {
-                if (l >> j) & 1 == 1 {
-                    *off |= 1usize << q;
-                }
+/// A layer of 1q factors on distinct qubits in one memory sweep. The
+/// slice is walked in groups of `2^h` tiles of `2^LAYER_TILE_BITS`
+/// amplitudes, `h` the number of factors at or above the tile: the tiles
+/// of a group differ only in those factors' bits, so the group stays in
+/// cache while each factor rotates its pairs, within each tile or across
+/// two. The factors apply in ascending qubit order, so the result equals
+/// separate [`one_q`] passes in that order for every tile size.
+fn layer(amps: &mut [C64], mats: &[Mat2], qubits: &[usize]) {
+    assert_operands_in_range(amps, qubits);
+    let mut factors: Vec<(usize, Rotation)> = qubits
+        .iter()
+        .map(|&q| 1usize << q)
+        .zip(mats.iter().map(Rotation::of))
+        .collect();
+    factors.sort_unstable_by_key(|&(bit, _)| bit);
+    let tile = amps.len().min(1 << LAYER_TILE_BITS);
+    let (low, high) = factors.split_at(factors.partition_point(|&(bit, _)| bit < tile));
+    let spread = high.iter().fold(0usize, |mask, &(bit, _)| mask | bit);
+    for group in (0..amps.len()).step_by(tile).filter(|g| g & spread == 0) {
+        for sub in submasks(spread) {
+            let t = &mut amps[group | sub..][..tile];
+            for &(bit, r) in low {
+                r.in_place(t, bit);
             }
         }
-        let sorted = &sorted;
-        let m = &block.m;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = orbits * t / threads;
-                let hi = orbits * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    let base_ptr = amps.0;
-                    let mut a = [C64::ZERO; 8];
-                    for k in lo..hi {
-                        let mut base = k;
-                        for &p in sorted {
-                            base = insert_bit(base, p);
-                        }
-                        // SAFETY: orbit index `k` maps to `2^k` basis
-                        // indices disjoint from every other orbit's, and
-                        // the `lo..hi` ranges partition `0..orbits`.
-                        unsafe {
-                            for (l, slot) in a.iter_mut().enumerate().take(dim) {
-                                *slot = *base_ptr.add(base | offsets[l]);
-                            }
-                            for r in 0..dim {
-                                let mut acc = C64::ZERO;
-                                for (c, amp) in a.iter().enumerate().take(dim) {
-                                    acc += m[r * dim + c] * *amp;
-                                }
-                                *base_ptr.add(base | offsets[r]) = acc;
-                            }
-                        }
-                    }
-                });
+        for &(bit, r) in high {
+            for sub in submasks(spread & !bit) {
+                let lo = group | sub;
+                let (a, b) = amps.split_at_mut(lo | bit);
+                r.across(&mut a[lo..][..tile], &mut b[..tile]);
             }
-        });
-    }
-
-    /// [`StateVector::apply_1q_layer`] with the `2^k`-element orbits split
-    /// across `threads` workers. Exposed so tests can force a thread count
-    /// on registers below the automatic threshold.
-    pub fn apply_1q_layer_threaded(
-        state: &mut StateVector,
-        mats: &[Mat2],
-        qubits: &[usize],
-        threads: usize,
-    ) {
-        let orbits = state.amps.len() >> qubits.len();
-        let threads = threads.clamp(1, orbits.max(1));
-        let (sorted, offsets) = super::layer_tables(qubits);
-        if threads <= 1 {
-            // SAFETY: exclusive `&mut` access, full in-bounds orbit range.
-            unsafe {
-                super::layer_pass_raw(state.amps.as_mut_ptr(), mats, &sorted, &offsets, 0, orbits);
-            }
-            return;
         }
-        let sorted = &sorted;
-        let offsets = &offsets;
-        let amps = AmpsPtr(state.amps.as_mut_ptr());
-        std::thread::scope(|scope| {
-            for t in 0..threads {
-                let lo = orbits * t / threads;
-                let hi = orbits * (t + 1) / threads;
-                let amps = &amps;
-                scope.spawn(move || {
-                    // SAFETY: orbit indices map to disjoint basis-index
-                    // sets; the orbit ranges partition `0..orbits`.
-                    unsafe {
-                        super::layer_pass_raw(amps.0, mats, sorted, offsets, lo, hi);
-                    }
-                });
-            }
-        });
     }
 }
 
@@ -1667,11 +1607,18 @@ mod tests {
         }
     }
 
+    /// Evolves `state` through the single kernel `kernel` on `qubits`
+    /// with `threads` threads.
+    fn evolve_one(state: &mut StateVector, kernel: KernelClass, qubits: &[usize], threads: usize) {
+        state.evolve(std::iter::once((&kernel, qubits)), threads);
+    }
+
     #[test]
     fn threaded_kernels_are_bit_identical_to_serial() {
-        // Force the threaded path on a small register (the automatic
-        // dispatch would stay serial below PAR_MIN_QUBITS) and require
-        // exact equality: the per-amplitude arithmetic is identical.
+        // Force the thread count on a small register (the simulator would
+        // stay serial below PAR_MIN_QUBITS) and require exact equality:
+        // the per-amplitude arithmetic is identical. Operands below the
+        // split run chunk by chunk, operands at the top run whole.
         let h = match GateKind::H.unitary() {
             cqasm::GateUnitary::One(m) => m,
             _ => unreachable!(),
@@ -1681,17 +1628,20 @@ mod tests {
             _ => unreachable!(),
         };
         for threads in [2, 3, 8] {
-            let mut a = random_state(7, 99);
-            let mut b = a.clone();
-            a.apply_1q(&h, 4);
-            par::apply_1q_threaded(&mut b, &h, 4, threads);
-            assert_eq!(a, b, "1q, {threads} threads");
-
-            let mut a = random_state(7, 100);
-            let mut b = a.clone();
-            a.apply_2q(&cnot, 6, 2);
-            par::apply_2q_threaded(&mut b, &cnot, 6, 2, threads);
-            assert_eq!(a, b, "2q, {threads} threads");
+            for q in [1, 4, 6] {
+                let mut a = random_state(7, 99);
+                let mut b = a.clone();
+                a.apply_1q(&h, q);
+                evolve_one(&mut b, KernelClass::General1q(h), &[q], threads);
+                assert_eq!(a, b, "1q on {q}, {threads} threads");
+            }
+            for (hi, lo) in [(6, 2), (2, 0)] {
+                let mut a = random_state(7, 100);
+                let mut b = a.clone();
+                a.apply_2q(&cnot, hi, lo);
+                evolve_one(&mut b, KernelClass::General2q(cnot), &[hi, lo], threads);
+                assert_eq!(a, b, "2q on ({hi}, {lo}), {threads} threads");
+            }
         }
     }
 
@@ -1730,6 +1680,153 @@ mod tests {
         }
         fused.apply_fused_diag(&FusedDiagonal { entries }, &[0, 2]);
         assert_states_close(&seq, &fused, "fused diagonal");
+    }
+
+    #[test]
+    #[should_panic(expected = "diagonal table size mismatch")]
+    fn fused_diag_refuses_a_wrapping_operand_count() {
+        // 64 operands: `1 << 64` would wrap to a 1-entry table in release.
+        let entries = vec![C64::ONE];
+        StateVector::zero_state(2).apply_fused_diag(&FusedDiagonal { entries }, &[0; 64]);
+    }
+
+    #[test]
+    #[should_panic(expected = "diagonal table size mismatch")]
+    fn fused_diag_refuses_more_than_sixteen_operands() {
+        // A consistent 17-qubit table is refused too: the bound is on the
+        // operand count, as documented on `apply_fused_diag`.
+        let qubits: Vec<usize> = (0..17).collect();
+        let entries = vec![C64::ONE; 1 << 17];
+        StateVector::zero_state(17).apply_fused_diag(&FusedDiagonal { entries }, &qubits);
+    }
+
+    /// A fused diagonal scales every amplitude by the entry its support
+    /// bits select, however the row walk splits the slice: random tables,
+    /// and controlled-phase tables (one wherever a control is clear) whose
+    /// control lies inside a row (half runs) or above it (skipped runs).
+    #[test]
+    fn fused_diag_equals_a_per_amplitude_lookup() {
+        let n = 12;
+        let mut rng = rng();
+        let supports: [&[usize]; 6] = [
+            &[0, 1, 2],
+            &[3, 11],
+            &[11, 4, 9],
+            &[1, 5, 6, 7, 8, 9, 10, 11],
+            &[10],
+            &[0, 10, 11],
+        ];
+        for (s, qubits) in supports.into_iter().enumerate() {
+            let k = qubits.len();
+            let control = s % k;
+            let random: Vec<C64> = (0..1 << k)
+                .map(|_| C64::cis(rng.gen_range(0.0..6.0)))
+                .collect();
+            let controlled: Vec<C64> = (0..1usize << k)
+                .map(|p| match (p >> control) & 1 {
+                    1 => C64::cis(p as f64),
+                    _ => C64::ONE,
+                })
+                .collect();
+            for entries in [random, controlled] {
+                let start = random_state(n, s as u64);
+                let mut fused = start.clone();
+                fused.apply_fused_diag(
+                    &FusedDiagonal {
+                        entries: entries.clone(),
+                    },
+                    qubits,
+                );
+                for (i, (a, b)) in fused
+                    .amplitudes()
+                    .iter()
+                    .zip(start.amplitudes())
+                    .enumerate()
+                {
+                    let pat = qubits
+                        .iter()
+                        .enumerate()
+                        .fold(0, |p, (j, &q)| p | (((i >> q) & 1) << j));
+                    assert!(*a == *b * entries[pat], "{qubits:?}, amplitude {i}");
+                }
+            }
+        }
+    }
+
+    /// The rotation and diagonal bodies compute every component by the
+    /// same expression as `C64`'s product and the scalar pair formulas,
+    /// bit for bit, zeros' signs included.
+    #[test]
+    fn pair_and_scale_bodies_match_scalar_products_bit_for_bit() {
+        let mut r = rng();
+        let mut c = || {
+            let v = [0.0, -0.0, 1.0, r.gen::<f64>() - 0.5];
+            C64::new(v[r.gen_range(0..4usize)], v[r.gen_range(0..4usize)])
+        };
+        let bits = |a: C64| (a.re.to_bits(), a.im.to_bits());
+        for _ in 0..2000 {
+            let (a0, a1, e) = (c(), c(), c());
+            let m = [[c(), c()], [c(), c()]];
+            let (b0, b1) = complex_pair(Mat2(m))(a0, a1);
+            let [[m00, m01], [m10, m11]] = m;
+            assert_eq!(bits(b0), bits(m00 * a0 + m01 * a1));
+            assert_eq!(bits(b1), bits(m10 * a0 + m11 * a1));
+            let [r00, x01, x10, r11] = [e.re, e.im, m00.re, m00.im];
+            let (b0, b1) = real_imag_pair([r00, x01, x10, r11])(a0, a1);
+            assert_eq!(
+                bits(b0),
+                bits(C64::new(
+                    r00 * a0.re - x01 * a1.im,
+                    r00 * a0.im + x01 * a1.re
+                ))
+            );
+            assert_eq!(
+                bits(b1),
+                bits(C64::new(
+                    r11 * a1.re - x10 * a0.im,
+                    r11 * a1.im + x10 * a0.re
+                ))
+            );
+            let mut scaled = [a0];
+            scale(&mut scaled, &[factor(e)]);
+            assert_eq!(bits(scaled[0]), bits(a0 * e));
+        }
+    }
+
+    /// A 1q layer equals separate passes of its factors in ascending
+    /// qubit order, amplitude for amplitude: factors inside a tile, across
+    /// tiles and both, listed in any order, with real, Rx-type and complex
+    /// matrices.
+    #[test]
+    fn layer_equals_separate_passes_in_ascending_order() {
+        let n = 13;
+        let one = |g: GateKind| match g.kernel() {
+            KernelClass::General1q(m) => m,
+            other => panic!("unexpected {other:?}"),
+        };
+        let complex = Mat2([
+            [C64::new(0.6, 0.1), C64::new(-0.3, 0.7)],
+            [C64::new(0.2, -0.5), C64::new(0.8, 0.3)],
+        ]);
+        let mats = [
+            one(GateKind::H),
+            one(GateKind::Rx(0.7)),
+            complex,
+            one(GateKind::Ry(-0.4)),
+        ];
+        let layouts = [[12, 0, 9, 3], [1, 2, 10, 11], [3, 2, 1, 0], [9, 12, 10, 11]];
+        for (s, qubits) in layouts.into_iter().enumerate() {
+            let start = random_state(n, s as u64);
+            let mut layered = start.clone();
+            layered.apply_1q_layer(&mats, &qubits);
+            let mut separate = start;
+            let mut order: Vec<usize> = (0..qubits.len()).collect();
+            order.sort_by_key(|&j| qubits[j]);
+            for j in order {
+                separate.apply_1q(&mats[j], qubits[j]);
+            }
+            assert!(layered.amplitudes() == separate.amplitudes(), "{qubits:?}");
+        }
     }
 
     #[test]
@@ -1788,19 +1885,34 @@ mod tests {
             let mut a = random_state(7, 101);
             let mut b = a.clone();
             a.apply_controlled_1q(&tof, &[1, 5], 3);
-            par::apply_controlled_1q_threaded(&mut b, &tof, &[1, 5], 3, threads);
+            evolve_one(
+                &mut b,
+                KernelClass::ControlledControlled(tof),
+                &[1, 5, 3],
+                threads,
+            );
             assert_eq!(a, b, "controlled 1q, {threads} threads");
 
             let mut a = random_state(7, 102);
             let mut b = a.clone();
             a.apply_fused_diag(&diag, &[2, 4, 6]);
-            par::apply_fused_diag_threaded(&mut b, &diag, &[2, 4, 6], threads);
+            evolve_one(
+                &mut b,
+                KernelClass::FusedDiag(diag.clone()),
+                &[2, 4, 6],
+                threads,
+            );
             assert_eq!(a, b, "fused diag, {threads} threads");
 
             let mut a = random_state(7, 103);
             let mut b = a.clone();
             a.apply_block(&block, &[5, 0, 3]);
-            par::apply_block_threaded(&mut b, &block, &[5, 0, 3], threads);
+            evolve_one(
+                &mut b,
+                KernelClass::FusedBlock(block.clone()),
+                &[5, 0, 3],
+                threads,
+            );
             assert_eq!(a, b, "fused block, {threads} threads");
         }
     }
@@ -1844,12 +1956,12 @@ mod tests {
     fn bit_insertion_expands_correctly() {
         assert_eq!(insert_bit(0b101, 1), 0b1001);
         assert_eq!(insert_bit(0b101, 0), 0b1010);
-        assert_eq!(insert_two_bits(0b11, 0, 2), 0b1010);
+        assert_eq!(insert_bit(insert_bit(0b11, 0), 2), 0b1010);
         // Every expanded index has the inserted bits clear and the mapping
         // is injective.
         let mut seen = std::collections::HashSet::new();
         for k in 0..16usize {
-            let i = insert_two_bits(k, 1, 3);
+            let i = insert_bit(insert_bit(k, 1), 3);
             assert_eq!(i & 0b1010, 0, "k={k} -> {i:b}");
             assert!(seen.insert(i));
         }

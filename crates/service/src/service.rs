@@ -837,28 +837,13 @@ impl ServiceHandle {
             return Ok(false);
         }
         record.status = JobStatus::Cancelled;
-        let now = Instant::now();
-        record.settled_at = Some(now);
-        let e2e_us = u64::try_from(
-            now.saturating_duration_since(record.submitted_at)
-                .as_micros(),
-        )
-        .unwrap_or(u64::MAX);
-        let priority = record.spec.priority;
+        let settled = settle_unrun(record, &mut state.lat_e2e, Instant::now());
         state.queued -= 1;
         state.lane_counts[record.lane].queued -= 1;
-        state.lat_e2e.record(e2e_us);
         state.totals.cancelled += 1;
         drop(guard);
         self.shared.telemetry.incr("service.jobs.cancelled", 1);
-        if self.shared.telemetry.is_enabled() {
-            let prio = priority.to_string();
-            self.shared.telemetry.record_hist_labeled(
-                "service.latency.e2e_us",
-                &[("priority", &prio), ("outcome", "cancelled")],
-                e2e_us,
-            );
-        }
+        record_unrun_e2e(&self.shared.telemetry, "cancelled", settled);
         self.shared.job_done.notify_all();
         Ok(true)
     }
@@ -1094,7 +1079,7 @@ fn pool_collapse_if_last(shared: &Shared) {
 /// shard range) with `error`. In-flight work is untouched. Used by
 /// [`Service::shutdown_now`] and pool-collapse handling.
 fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
-    let orphaned_shards = {
+    let (orphaned_shards, settled) = {
         let mut state = shared.lock();
         state.shutdown = true;
         let mut entries: Vec<QueueEntry> = state.shards.drain().collect();
@@ -1103,6 +1088,8 @@ fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
         // `pending` stays: a worker that popped a lead just before this
         // sweep claims it through `pending`, and claims skip failed ids.
         let mut orphans = Vec::new();
+        let mut settled = Vec::new();
+        let now = Instant::now();
         let state = &mut *state;
         for entry in entries {
             match entry.item {
@@ -1111,6 +1098,7 @@ fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
                     if let Some(record) = state.jobs.get_mut(&id.0) {
                         if record.status == JobStatus::Queued {
                             record.status = JobStatus::Failed(error.clone());
+                            settled.push(settle_unrun(record, &mut state.lat_e2e, now));
                             state.queued -= 1;
                             state.lane_counts[record.lane].queued -= 1;
                             state.totals.failed += 1;
@@ -1119,8 +1107,11 @@ fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
                 }
             }
         }
-        orphans
+        (orphans, settled)
     };
+    for job in settled {
+        record_unrun_e2e(&shared.telemetry, "failed", job);
+    }
     shared.job_done.notify_all();
     // Orphaned shard ranges will never run: contribute a failure for each
     // so the sweep's merge count still reaches zero and the batch settles.
@@ -1132,6 +1123,35 @@ fn fail_queued_jobs(shared: &Shared, error: &ServiceError) {
                 error: error.clone(),
                 transient: false,
             }),
+        );
+    }
+}
+
+/// Settles, under the scheduler lock, a job that leaves the queue without
+/// running — cancelled, past its deadline, or failed by `shutdown_now` or
+/// a pool collapse: stamps `settled_at` and records its end-to-end
+/// latency, like a job settled after running. Returns the job's priority
+/// and latency for [`record_unrun_e2e`] once the lock is released.
+fn settle_unrun(record: &mut JobRecord, lat_e2e: &mut LogHistogram, now: Instant) -> (u8, u64) {
+    record.settled_at = Some(now);
+    let e2e_us = u64::try_from(
+        now.saturating_duration_since(record.submitted_at)
+            .as_micros(),
+    )
+    .unwrap_or(u64::MAX);
+    lat_e2e.record(e2e_us);
+    (record.spec.priority, e2e_us)
+}
+
+/// Records the labelled `service.latency.e2e_us` entry of a job settled by
+/// [`settle_unrun`] with the given outcome label.
+fn record_unrun_e2e(telemetry: &Telemetry, outcome: &str, (priority, e2e_us): (u8, u64)) {
+    if telemetry.is_enabled() {
+        let prio = priority.to_string();
+        telemetry.record_hist_labeled(
+            "service.latency.e2e_us",
+            &[("priority", &prio), ("outcome", outcome)],
+            e2e_us,
         );
     }
 }
@@ -1380,11 +1400,13 @@ fn claim_batch(shared: &Shared, id: JobId) -> Option<Claim> {
     if let Some(deadline_ms) = record.spec.deadline_ms {
         if record.submitted_at.elapsed() >= Duration::from_millis(deadline_ms) {
             record.status = JobStatus::Failed(ServiceError::DeadlineExceeded { deadline_ms });
+            let settled = settle_unrun(record, &mut state.lat_e2e, Instant::now());
             state.queued -= 1;
             state.lane_counts[record.lane].queued -= 1;
             state.totals.failed += 1;
             drop(guard);
             shared.telemetry.incr("service.jobs.deadline_expired", 1);
+            record_unrun_e2e(&shared.telemetry, "failed", settled);
             shared.job_done.notify_all();
             return None;
         }

@@ -1,15 +1,16 @@
 //! Property tests: every specialised gate kernel in `qxsim` must produce
 //! the same amplitudes as the generic dense-matrix path
 //! (`qxsim::state::reference`), for every gate in the cQASM library, on
-//! random states and random operand assignments — and the plan fuser must
+//! random states and random operand assignments — the plan fuser must
 //! preserve those amplitudes when it collapses runs, chains and clusters
-//! into fused kernels.
+//! into fused kernels — and evolving a kernel list by segments on any
+//! thread count must reproduce the serial kernel loop exactly.
 
-use cqasm::math::C64;
-use cqasm::{GateKind, Program};
+use cqasm::math::{Mat2, Mat4, C64};
+use cqasm::{BlockUnitary, FusedDiagonal, GateKind, GateUnitary, KernelClass, Program};
 use proptest::prelude::*;
-use qxsim::state::{par, reference};
-use qxsim::{Simulator, StateVector};
+use qxsim::state::reference;
+use qxsim::{PlannedOp, Simulator, StateVector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -111,6 +112,130 @@ fn operands(n: usize, r0: usize, r1: usize, r2: usize) -> [usize; 3] {
     [q0, q1, q2]
 }
 
+/// The thread counts the segment tests force: one chunk, two chunks (also
+/// from three threads, which round down), four and eight.
+const FORCED_THREADS: [usize; 5] = [1, 2, 3, 4, 8];
+
+fn random_c64(rng: &mut StdRng) -> C64 {
+    C64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
+}
+
+/// A random 2x2 matrix: a library unitary (real ones like H and X take
+/// the real-coefficient path), random real entries, or random complex
+/// ones. The segment tests check identity of arithmetic, not unitarity.
+fn random_mat2(rng: &mut StdRng) -> Mat2 {
+    let gate = match rng.gen_range(0..6) {
+        0 => GateKind::H,
+        1 => GateKind::X,
+        2 => GateKind::Ry(rng.gen_range(-3.2..3.2)),
+        3 => GateKind::Rx(rng.gen_range(-3.2..3.2)),
+        real => {
+            let mut entry = || {
+                let c = random_c64(rng);
+                if real == 4 {
+                    C64::real(c.re)
+                } else {
+                    c
+                }
+            };
+            return Mat2([[entry(), entry()], [entry(), entry()]]);
+        }
+    };
+    match gate.unitary() {
+        GateUnitary::One(m) => m,
+        _ => unreachable!("{gate} is a single-qubit gate"),
+    }
+}
+
+/// `k` distinct operands of an `n`-qubit register, each drawn from the
+/// top three qubits half the time, so kernels land on, straddle and stay
+/// below every chunk split.
+fn random_operands(k: usize, n: usize, rng: &mut StdRng) -> Vec<usize> {
+    assert!(k <= n, "{k} distinct operands on {n} qubits");
+    let mut qubits = Vec::with_capacity(k);
+    while qubits.len() < k {
+        let q = if rng.gen_bool(0.5) {
+            n - 1 - rng.gen_range(0..3usize)
+        } else {
+            rng.gen_range(0..n)
+        };
+        if !qubits.contains(&q) {
+            qubits.push(q);
+        }
+    }
+    qubits
+}
+
+/// A random kernel of class `class` (a `KernelClass::class_index`) on
+/// random operands of an `n >= 4`-qubit register.
+fn random_kernel(class: usize, n: usize, rng: &mut StdRng) -> (KernelClass, Vec<usize>) {
+    let kernel = match class {
+        0 => KernelClass::Identity,
+        1 => KernelClass::Diagonal1q(random_c64(rng), random_c64(rng)),
+        2 => KernelClass::AntiDiagonal1q(random_c64(rng), random_c64(rng)),
+        3 => KernelClass::General1q(random_mat2(rng)),
+        4 => KernelClass::Cnot,
+        5 => KernelClass::Cz,
+        6 => KernelClass::Swap,
+        7 => KernelClass::ControlledPhase(random_c64(rng)),
+        8 => KernelClass::General2q(Mat4(std::array::from_fn(|_| {
+            std::array::from_fn(|_| random_c64(rng))
+        }))),
+        9 => KernelClass::ControlledControlled(random_mat2(rng)),
+        10 => KernelClass::Fused1q(random_mat2(rng)),
+        11 => {
+            let k = rng.gen_range(1..=n.min(5));
+            let entries = (0..1 << k).map(|_| random_c64(rng)).collect();
+            KernelClass::FusedDiag(FusedDiagonal { entries })
+        }
+        12 => {
+            let k = rng.gen_range(1..=3);
+            let m = (0..1 << (2 * k)).map(|_| random_c64(rng)).collect();
+            KernelClass::FusedBlock(BlockUnitary { k, m })
+        }
+        _ => {
+            let k = rng.gen_range(1..=4);
+            KernelClass::Fused1qLayer((0..k).map(|_| random_mat2(rng)).collect())
+        }
+    };
+    let arity = match &kernel {
+        KernelClass::Cnot
+        | KernelClass::Cz
+        | KernelClass::Swap
+        | KernelClass::ControlledPhase(_)
+        | KernelClass::General2q(_) => 2,
+        KernelClass::ControlledControlled(_) => 3,
+        KernelClass::FusedDiag(d) => d.support(),
+        KernelClass::FusedBlock(b) => b.k,
+        KernelClass::Fused1qLayer(mats) => mats.len(),
+        _ => 1,
+    };
+    (kernel, random_operands(arity, n, rng))
+}
+
+/// Evolves `start` through `kernels` by segments on every forced thread
+/// count and requires the serial `apply_kernel` loop's amplitudes, `==`
+/// for `==`.
+fn assert_segments_match_serial(
+    kernels: &[(KernelClass, Vec<usize>)],
+    start: &StateVector,
+) -> Result<(), String> {
+    let mut serial = start.clone();
+    for (kernel, qubits) in kernels {
+        serial.apply_kernel(kernel, qubits);
+    }
+    for threads in FORCED_THREADS {
+        let mut evolved = start.clone();
+        evolved.evolve(kernels.iter().map(|(k, q)| (k, q.as_slice())), threads);
+        prop_assert!(
+            serial.amplitudes() == evolved.amplitudes(),
+            "{} threads: segment evolution differs from the serial loop",
+            threads
+        );
+    }
+    Ok(())
+}
+
 fn assert_amplitudes_match(
     fast: &StateVector,
     slow: &StateVector,
@@ -152,9 +277,9 @@ proptest! {
         assert_amplitudes_match(&fast, &slow, &format!("{gate} on {ops:?}"))?;
     }
 
-    /// The threaded chunked kernels are bit-identical to the serial ones
-    /// for any thread count (each amplitude's update is the same
-    /// floating-point expression, only the executing thread changes).
+    /// A kernel evolved on its own by segments is bit-identical to the
+    /// serial kernel for any thread count (each amplitude's update is the
+    /// same floating-point expression, only the executing thread changes).
     #[test]
     fn threaded_kernels_match_serial(
         n in 3usize..7,
@@ -173,15 +298,64 @@ proptest! {
             cqasm::GateUnitary::Two(m) => m,
             _ => unreachable!(),
         };
+        let (k1, k2) = (KernelClass::General1q(m1), KernelClass::General2q(m2));
         let mut serial = random_state(n, seed);
         let mut threaded = serial.clone();
         serial.apply_1q(&m1, qs[0]);
-        par::apply_1q_threaded(&mut threaded, &m1, qs[0], threads);
+        threaded.evolve(std::iter::once((&k1, &qs[..1])), threads);
         prop_assert_eq!(serial.amplitudes(), threaded.amplitudes());
 
         serial.apply_2q(&m2, qs[0], qs[1]);
-        par::apply_2q_threaded(&mut threaded, &m2, qs[0], qs[1], threads);
+        threaded.evolve(std::iter::once((&k2, &qs[..2])), threads);
         prop_assert_eq!(serial.amplitudes(), threaded.amplitudes());
+    }
+
+    /// Segment evolution is the serial kernel loop: random kernel lists
+    /// holding every kernel class plus extra random ones, on 4–10 qubits,
+    /// with operands on, across and below every chunk split (top-qubit
+    /// kernels between segments, diagonals and controls spanning the
+    /// split), evolve to exactly the serial amplitudes on 1, 2, 3, 4 and
+    /// 8 threads.
+    #[test]
+    fn segment_evolution_equals_the_serial_kernel_loop(
+        n in 4usize..11,
+        extra in proptest::collection::vec(0usize..KernelClass::COUNT, 0..16),
+        seed in 0u64..100_000
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut classes = extra;
+        for class in 0..KernelClass::COUNT {
+            let at = rng.gen_range(0..=classes.len());
+            classes.insert(at, class);
+        }
+        let kernels: Vec<_> = classes.iter().map(|&c| random_kernel(c, n, &mut rng)).collect();
+        assert_segments_match_serial(&kernels, &random_state(n, seed))?;
+    }
+
+    /// Fused plans compiled from random circuits on 4–10 qubits evolve by
+    /// segments to exactly the serial loop's amplitudes on every forced
+    /// thread count.
+    #[test]
+    fn segment_evolution_of_fused_plans_equals_the_serial_kernel_loop(
+        n in 4usize..11,
+        moves in proptest::collection::vec((arb_gate(), 0usize..64, 0usize..64, 0usize..64), 2..24),
+        seed in 0u64..100_000
+    ) {
+        let mut b = Program::builder(n);
+        for (gate, r0, r1, r2) in &moves {
+            let qs = operands(n, *r0, *r1, *r2);
+            b = b.gate(*gate, &qs[..gate.arity()]);
+        }
+        let plan = Simulator::perfect().compile(&b.build()).unwrap();
+        let kernels: Vec<_> = plan
+            .ops()
+            .iter()
+            .filter_map(|op| match op {
+                PlannedOp::Gate(g) => Some((g.kernel.clone(), g.qubits.clone())),
+                _ => None,
+            })
+            .collect();
+        assert_segments_match_serial(&kernels, &random_state(n, seed))?;
     }
 
     /// The compressed-counter multi-controlled kernel

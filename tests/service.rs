@@ -1018,3 +1018,66 @@ fn concurrent_submits_get_unique_tickets_and_respect_capacity() {
     assert_eq!(handle.stats().completed, CAPACITY as u64 + 1);
     service.shutdown();
 }
+
+/// Jobs failed before they run settle like jobs that ran: one past its
+/// deadline when the worker claims it, one still queued at
+/// `shutdown_now`. Both carry a settle stamp in their lifecycle record,
+/// and the end-to-end latency summary counts every terminal job.
+#[test]
+fn jobs_failed_before_running_are_settled_and_measured() {
+    let service = Service::with_config(ServiceConfig {
+        workers: 1,
+        ..ServiceConfig::default()
+    });
+    let handle = service.handle();
+    let pin = handle
+        .submit(JobSpec::new(pin_circuit()).with_shots(400))
+        .unwrap();
+    while handle.poll(pin).unwrap() == JobStatus::Queued {
+        std::thread::yield_now();
+    }
+    // Behind the pin: a job whose deadline passes while it waits, a second
+    // pin that holds the worker once the first is done, and a job that is
+    // still queued when `shutdown_now` runs.
+    let expired = handle
+        .submit(JobSpec::new(BELL).with_seed(1).with_deadline_ms(1))
+        .unwrap();
+    let second_pin = handle
+        .submit(JobSpec::new(pin_circuit()).with_seed(2).with_shots(1000))
+        .unwrap();
+    let stranded = handle.submit(JobSpec::new(BELL).with_seed(3)).unwrap();
+    while handle.poll(second_pin).unwrap() == JobStatus::Queued {
+        std::thread::yield_now();
+    }
+    assert_eq!(
+        handle.poll(second_pin).unwrap(),
+        JobStatus::Running,
+        "the second pin must still hold the worker at shutdown_now"
+    );
+    service.shutdown_now();
+
+    let wait = Duration::from_secs(60);
+    assert_eq!(
+        handle.wait(expired, wait).unwrap_err(),
+        ServiceError::DeadlineExceeded { deadline_ms: 1 }
+    );
+    assert_eq!(
+        handle.wait(stranded, wait).unwrap_err(),
+        ServiceError::ShuttingDown
+    );
+    for id in [expired, stranded] {
+        let lifecycle = handle.lifecycle(id).unwrap();
+        assert_eq!(lifecycle.status, "failed");
+        assert!(
+            lifecycle.settle_us.is_some(),
+            "a failed job must carry a settle stamp: {lifecycle:?}"
+        );
+    }
+    handle.wait(pin, wait).unwrap();
+    handle.wait(second_pin, wait).unwrap();
+    assert_eq!(
+        handle.stats().latency.jobs_measured,
+        4,
+        "both pins and both failed jobs are terminal"
+    );
+}
